@@ -100,6 +100,8 @@ def tokenize(text: str) -> list:
                 while j < n and text[j].isdigit():
                     j += 1
                 den = int(text[k:j])
+                if not den:
+                    raise ExprError("zero denominator", k)
             out.append(("number", Fraction(num, den), i))
             i = j
             continue

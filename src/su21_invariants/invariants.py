@@ -3,9 +3,10 @@
 K is connected, so K-invariance is k-invariance, and a weight-(0,0)
 vector killed by the raising operator E generates a trivial module of the
 semisimple part of k.  The invariants of each degree are therefore
-computed as ker ad(E) restricted to the weight-(0,0) slice; annihilation
-by all four k-generators is re-verified on every returned element rather
-than assumed.
+computed as ker ad(E) restricted to the weight-(0,0) slice, whose keys are
+enumerated directly rather than filtered out of the whole degree;
+annihilation by all four k-generators is re-verified on every returned
+element rather than assumed, and a failure is a FAIL check of the table.
 
 ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
@@ -17,7 +18,6 @@ cross-checked against an unblocked joint-kernel computation in the tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import dirac, lie, linalg, symext
@@ -38,15 +38,55 @@ def _compositions(total: int, parts: int):
 def graded_keys(n: int, weight=None) -> tuple:
     """All degree-n keys, optionally restricted to one weight, in the fixed
     deterministic order (lexicographic exponents, then mask)."""
+    if weight is not None:
+        return _weight_slice(n, *weight)
+    keys = []
+    for mask in range(16):
+        sym_deg = n - mask.bit_count()
+        if sym_deg >= 0:
+            keys.extend((exps, mask) for exps in _compositions(sym_deg, 8))
+    keys.sort()
+    return tuple(keys)
+
+
+def _weight_slice(n: int, w1, w2) -> tuple:
+    """The degree-n keys of weight (w1, w2), enumerated directly.
+
+    H1 and H2 have weight zero and F1, F2 have weights (-1, 0), (0, -1),
+    so once the mask and the exponents of E, F, E1, E2 are chosen, the two
+    weight equations
+
+        w1 = E - F + E1 - F1 + (weight of the mask)[0]
+        w2 = F - E + E2 - F2 + (weight of the mask)[1]
+
+    fix the exponents of F1 and F2, and the degree left over is split
+    between H1 and H2.  Every key has integral weight.
+    """
+    if w1 != int(w1) or w2 != int(w2):
+        return ()
+    w1, w2 = int(w1), int(w2)
     keys = []
     for mask in range(16):
         sym_deg = n - mask.bit_count()
         if sym_deg < 0:
             continue
-        for exps in _compositions(sym_deg, 8):
-            key = (exps, mask)
-            if weight is None or symext.key_weight(key) == weight:
-                keys.append(key)
+        letters = [lie.WEIGHTS[lie.E1 + k] for k in range(4) if mask >> k & 1]
+        t1 = w1 - sum(w.h1 for w in letters)
+        t2 = w2 - sum(w.h2 for w in letters)
+        for e in range(sym_deg + 1):
+            for f in range(sym_deg - e + 1):
+                for e1 in range(max(0, t1 - e + f), sym_deg - e - f + 1):
+                    f1 = e - f + e1 - t1
+                    left = sym_deg - e - f - e1 - f1
+                    if left < 0:
+                        break
+                    for e2 in range(max(0, t2 + e - f), left + 1):
+                        f2 = f - e + e2 - t2
+                        rest = left - e2 - f2
+                        if rest < 0:
+                            break
+                        for h1 in range(rest + 1):
+                            keys.append(((h1, rest - h1, e, f, e1, e2, f1, f2), mask))
     keys.sort()
     return tuple(keys)
 
@@ -109,9 +149,13 @@ def rank_of_elements(elements) -> int:
     return linalg.rank_of_rows(rows)
 
 
-@lru_cache(maxsize=None)
-def _invariant_subspace_cached(n: int) -> tuple:
-    src = graded_keys(n, lie.Weight(Fraction(0), Fraction(0)))
+class InvarianceError(ArithmeticError):
+    """A computed kernel element is not annihilated by all of k."""
+
+
+def _ad_e_kernel(n: int) -> tuple:
+    """Echelon basis of ker ad(E) on the degree-n weight-(0,0) slice."""
+    src = graded_keys(n, lie.Weight(0, 0))
     if not src:
         return ()
     e_vec = lie.gvec(lie.E)
@@ -136,34 +180,57 @@ def _invariant_subspace_cached(n: int) -> tuple:
     out = []
     for lead in sorted(reduced):
         out.append(SymTensorElement({src[c]: v for c, v in reduced[lead].items()}))
-
-    for x in out:
-        for gi in lie.K_INDICES:
-            if not symext.ad_action(lie.gvec(gi), x).is_zero():
-                raise AssertionError(
-                    "kernel element is not annihilated by %s" % lie.BASIS_NAMES[gi]
-                )
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _invariant_subspace_cached(n: int) -> tuple:
+    """(ker ad(E) basis, one line per element some k-generator does not kill)."""
+    basis = _ad_e_kernel(n)
+    failures = []
+    for idx, x in enumerate(basis):
+        names = [
+            lie.BASIS_NAMES[gi]
+            for gi in lie.K_INDICES
+            if not symext.ad_action(lie.gvec(gi), x).is_zero()
+        ]
+        if names:
+            failures.append(
+                "degree-%d kernel element %d is not annihilated by %s"
+                % (n, idx, ", ".join(names))
+            )
+    return basis, tuple(failures)
+
+
 def invariant_subspace(n: int) -> list:
-    """Echelon-normalized basis of the degree-n K-invariants."""
+    """Echelon-normalized basis of the degree-n K-invariants.
+
+    Every element is re-checked against all four k-generators; a failure
+    raises InvarianceError.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_invariant_subspace_cached(n))
+    basis, failures = _invariant_subspace_cached(n)
+    if failures:
+        raise InvarianceError("; ".join(failures))
+    return list(basis)
 
 
 def verify_table(max_degree: int = 8) -> VerificationReport:
     checks = []
     for n in range(max_degree + 1):
         expect = expected_dimension(n)
-        got = len(invariant_subspace(n))
+        try:
+            got = len(invariant_subspace(n))
+            residual = None if got == expect else "computed dimension %d" % got
+        except InvarianceError as err:
+            residual = str(err)
         checks.append(
             CheckResult(
                 "degree-%d" % n,
                 "dim of degree-%d invariants = %d" % (n, expect),
-                got == expect,
-                None if got == expect else "computed dimension %d" % got,
+                residual is None,
+                residual,
             )
         )
     return VerificationReport("table", {"max_degree": max_degree}, checks)

@@ -214,14 +214,15 @@ def cartan_involution(x: GVector) -> GVector:
 class Weight(NamedTuple):
     """Simultaneous eigenvalue pair for the adjoint action of H1 and H2."""
 
-    h1: Fraction
-    h2: Fraction
+    h1: int
+    h2: int
 
 
+# Every eigenvalue is an integer for this basis, so int() drops nothing.
 WEIGHTS = tuple(
     Weight(
-        BRACKET_TABLE[H1][i].coeffs.get(i, Fraction(0)),
-        BRACKET_TABLE[H2][i].coeffs.get(i, Fraction(0)),
+        int(BRACKET_TABLE[H1][i].coeffs.get(i, 0)),
+        int(BRACKET_TABLE[H2][i].coeffs.get(i, 0)),
     )
     for i in range(DIM)
 )

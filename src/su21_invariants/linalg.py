@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors and matrix rows are ``{column: value}`` dicts with zero entries
-absent.  Elimination is fraction-free: rows are rescaled to primitive
-integer vectors and combined by integer cross-multiplication, with the
-content divided out after every combination, so the inner loop never
-performs rational division and coefficient growth stays tame.
+absent; values are exact, ``int`` or ``Fraction``.  Elimination is
+fraction-free: rows are rescaled to primitive integer vectors (an all-int
+row needs no ``Fraction`` at all) and combined by integer
+cross-multiplication, with the content divided out after every
+combination, so the inner loop never performs rational division and
+coefficient growth stays tame.  Only the final normalization of the
+reduced echelon form divides, and its entries are ``Fraction``s.
 
 The reduced echelon form depends only on the column order, never on the
 order the rows arrive in, so every rank, kernel and solution produced
@@ -23,12 +26,13 @@ def _primitive(row) -> dict:
         return {}
     denom = 1
     for v in row.values():
-        d = Fraction(v).denominator
-        denom = denom * d // gcd(denom, d)
+        if type(v) is not int:
+            d = Fraction(v).denominator
+            denom = denom * d // gcd(denom, d)
     out = {}
     g = 0
     for c, v in row.items():
-        n = (Fraction(v) * denom).numerator
+        n = v * denom if type(v) is int else (Fraction(v) * denom).numerator
         if n:
             out[c] = n
             g = gcd(g, n)

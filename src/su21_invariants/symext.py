@@ -6,6 +6,13 @@ has one slot per basis element of g, and the mask packs a subset of
 normalized to increasing mask order; total degree is symmetric degree
 plus exterior degree.  The adjoint action of k extends the bracket as a
 derivation on both tensor legs.
+
+Coefficients are exact: an ``int`` whenever the value is integral, a
+``Fraction`` otherwise, never a float.  Every weight, structure constant
+and coefficient of the invariants a..j is an integer, so products and the
+k-action stay in integer arithmetic; a ``Fraction`` enters only with a
+real division, such as an echelon-normalized kernel vector or a scalar
+like 1/2.
 """
 
 from __future__ import annotations
@@ -19,6 +26,22 @@ from .lie import E, E1, E2, F, F1, F2, GVector, Weight
 
 ZERO_EXPS = (0,) * 8
 EXT_NAMES = ("E1", "E2", "F1", "F2")
+
+
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+# Structure constants of the fixed basis, all integers, as {index: int}.
+_BRACKETS = tuple(
+    tuple({k: _exact(c) for k, c in v.coeffs.items()} for v in row)
+    for row in lie.BRACKET_TABLE
+)
 
 
 def ext_bit(index: int) -> int:
@@ -45,7 +68,7 @@ class SymTensorElement:
     def __init__(self, coeffs=None):
         data = {}
         for key, v in (coeffs or {}).items():
-            v = Fraction(v)
+            v = _exact(v)
             if v:
                 data[key] = v
         self.coeffs = data
@@ -76,7 +99,7 @@ class SymTensorElement:
         return SymTensorElement({k: -v for k, v in self.coeffs.items()})
 
     def _scaled(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return SymTensorElement()
         return SymTensorElement({k: scalar * v for k, v in self.coeffs.items()})
@@ -155,16 +178,13 @@ def from_gvector(v: GVector) -> SymTensorElement:
 
 def key_weight(key) -> Weight:
     exps, mask = key
-    a = Fraction(0)
-    b = Fraction(0)
-    for i, e in enumerate(exps):
-        if e:
-            w = lie.weight_of(i)
-            a += e * w.h1
-            b += e * w.h2
+    a = b = 0
+    for e, w in zip(exps, lie.WEIGHTS):
+        a += e * w.h1
+        b += e * w.h2
     for k in range(4):
         if mask >> k & 1:
-            w = lie.weight_of(lie.E1 + k)
+            w = lie.WEIGHTS[lie.E1 + k]
             a += w.h1
             b += w.h2
     return Weight(a, b)
@@ -176,11 +196,12 @@ def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
     On the exterior leg only the k-part of the action makes sense; a z
     whose bracket pushes an exterior letter out of p raises ValueError.
     """
+    z_coeffs = [(zi, _exact(zc)) for zi, zc in z.coeffs.items()]
     img = [None] * 8
     for i, _ in enumerate(img):
         acc = {}
-        for zi, zc in z.coeffs.items():
-            for k, c in lie.BRACKET_TABLE[zi][i].coeffs.items():
+        for zi, zc in z_coeffs:
+            for k, c in _BRACKETS[zi][i].items():
                 w = acc.get(k, 0) + zc * c
                 if w:
                     acc[k] = w
@@ -229,7 +250,7 @@ def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
 
 
 def weight_component(x: SymTensorElement, w) -> SymTensorElement:
-    target = Weight(Fraction(w[0]), Fraction(w[1]))
+    target = Weight(*w)
     return SymTensorElement(
         {key: v for key, v in x.coeffs.items() if key_weight(key) == target}
     )

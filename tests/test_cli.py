@@ -85,6 +85,13 @@ def test_eval_parse_error_exit_code(capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    assert cli.main(["eval", "--context", "symmetric", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert cli.main(["mul", "--context", "enveloping", "E", "3/0*F"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"

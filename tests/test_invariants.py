@@ -6,6 +6,8 @@ weight-zero kernel reduction is cross-checked against the unblocked
 joint kernel of all four k-generators acting on the full degree slice.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from su21_invariants import invariants as inv
@@ -181,3 +183,78 @@ def test_graded_keys_order_is_deterministic():
     restricted = inv.graded_keys(3, zero)
     assert set(restricted) <= set(keys)
     assert all(symext.key_weight(k) == (0, 0) for k in restricted)
+
+
+# Weights of H1, H2, E, F, E1, E2, F1, F2, typed in from the 3x3 matrices
+# rather than read from lie.WEIGHTS; the exterior letters weigh the same.
+_LETTER_WEIGHTS = ((0, 0), (0, 0), (1, -1), (-1, 1), (1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _inline_weight(key):
+    exps, mask = key
+    letters = [i for i, e in enumerate(exps) for _ in range(e)]
+    letters += [lie.E1 + k for k in range(4) if mask >> k & 1]
+    return (
+        sum(_LETTER_WEIGHTS[i][0] for i in letters),
+        sum(_LETTER_WEIGHTS[i][1] for i in letters),
+    )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_weight_slice_matches_brute_force_filter(n):
+    every = inv.graded_keys(n)
+    for weight in ((0, 0), (1, -1), (2, -1), (-1, 0)):
+        want = tuple(k for k in every if _inline_weight(k) == weight)
+        assert inv.graded_keys(n, weight) == want
+        assert inv.graded_keys(n, lie.Weight(*weight)) == want
+    assert inv.graded_keys(n, (Fraction(1, 2), 0)) == ()
+
+
+@pytest.fixture
+def fresh_subspace_cache():
+    inv._invariant_subspace_cached.cache_clear()
+    yield
+    inv._invariant_subspace_cached.cache_clear()
+
+
+def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch, fresh_subspace_cache):
+    kernel = inv._ad_e_kernel
+    # E*F has weight (0, 0) but neither E nor F kills it.
+    bad = symext.sym_gen(lie.E) * symext.sym_gen(lie.F)
+
+    def poisoned(n):
+        basis = kernel(n)
+        return basis[:-1] + (bad,) if n == 2 else basis
+
+    monkeypatch.setattr(inv, "_ad_e_kernel", poisoned)
+    rep = inv.verify_table(3)
+    assert [c.passed for c in rep.checks] == [True, True, False, True]
+    assert rep.checks[2].residual == (
+        "degree-2 kernel element 5 is not annihilated by E, F"
+    )
+    assert "FAIL degree-2" in rep.to_text()
+    with pytest.raises(inv.InvarianceError):
+        inv.invariant_subspace(2)
+
+
+def _assert_exact(x):
+    for v in x.coeffs.values():
+        assert type(v) in (int, Fraction), v
+        if v.denominator == 1:
+            assert type(v) is int, v
+    assert x == symext.SymTensorElement({k: Fraction(v) for k, v in x.coeffs.items()})
+
+
+def test_coefficients_stay_exact():
+    named = list(symext.named_invariants().as_dict().values())
+    for x in named + [x for _, x in inv.product_basis_members(6)]:
+        _assert_exact(x)
+        assert all(type(v) is int for v in x.coeffs.values())
+    for x in inv.invariant_subspace(6):
+        _assert_exact(x)
+    a = symext.named_invariants().a
+    half = Fraction(1, 2) * a
+    assert all(type(v) is Fraction for v in half.coeffs.values())
+    assert 2 * half == a and all(type(v) is int for v in (2 * half).coeffs.values())
+    assert 0.5 * a == half
+    _assert_exact(0.5 * a)

@@ -194,6 +194,7 @@ def test_weights():
     assert lie.weight_of(lie.E) == (1, -1)
     for i in range(8):
         w = lie.weight_of(i)
+        assert type(w.h1) is int and type(w.h2) is int
         assert lie.bracket(gvec(lie.H1), gvec(i)) == w.h1 * gvec(i)
         assert lie.bracket(gvec(lie.H2), gvec(i)) == w.h2 * gvec(i)
 

@@ -117,6 +117,7 @@ def test_keys_are_weight_vectors():
         for key, coeff in x.coeffs.items():
             mono = SymTensorElement({key: coeff})
             w = key_weight(key)
+            assert type(w.h1) is int and type(w.h2) is int
             assert ad_action(gvec(lie.H1), mono) == w.h1 * mono
             assert ad_action(gvec(lie.H2), mono) == w.h2 * mono
 
