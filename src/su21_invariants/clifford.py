@@ -10,6 +10,11 @@ The sign in the relation is the one convention in this package not forced
 by linear algebra alone; it is pinned by the requirement that the
 Chevalley image of E1^F1 + E2^F2 exceed the corresponding blade by +2,
 which the identity suites and a dedicated test check explicitly.
+
+The pairings B(v, w) of the basis are integers and the insertion cache
+starts from the integer 1, so Clifford products stay in ``int``
+arithmetic; the 1/n! of the Chevalley map is the only division, and a
+coefficient is a ``Fraction`` only when it is not integral.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from itertools import permutations
 from . import lie
 from . import linalg
 from .lie import GVector
-
-_ONE = Fraction(1)
+from .linalg import SparseElement, add_terms, exact
 
 # Pairing of the p basis under the trace form, indexed by mask bits.
 _BP = tuple(
-    tuple(lie.FORM_TABLE[lie.E1 + i][lie.E1 + j] for j in range(4))
+    tuple(exact(lie.FORM_TABLE[lie.E1 + i][lie.E1 + j]) for j in range(4))
     for i in range(4)
 )
 
@@ -39,10 +43,10 @@ def _lowest_bit(mask: int) -> int:
 def _cliff_insert(g: int, mask: int) -> tuple:
     """v_g times the blade of ``mask``, as ((mask, coefficient), ...)."""
     if mask == 0:
-        return ((1 << g, _ONE),)
+        return ((1 << g, 1),)
     h = _lowest_bit(mask)
     if g < h:
-        return ((mask | (1 << g), _ONE),)
+        return ((mask | (1 << g), 1),)
     rest = mask ^ (1 << h)
     if g == h:
         b = _BP[g][g]
@@ -50,112 +54,40 @@ def _cliff_insert(g: int, mask: int) -> tuple:
     # v_g v_h rest = -v_h (v_g rest) - 2 B(g,h) rest
     acc = {}
     for m1, c1 in _cliff_insert(g, rest):
-        for m2, c2 in _cliff_insert(h, m1):
-            w = acc.get(m2, 0) - c1 * c2
-            if w:
-                acc[m2] = w
-            else:
-                acc.pop(m2, None)
-    b = _BP[g][h]
-    if b:
-        w = acc.get(rest, 0) - 2 * b
-        if w:
-            acc[rest] = w
-        else:
-            acc.pop(rest, None)
+        add_terms(acc, _cliff_insert(h, m1), -c1)
+    add_terms(acc, ((rest, _BP[g][h]),), -2)
     return tuple(acc.items())
+
+
+def _word_product(word, items: dict) -> dict:
+    """v_word[0] ... v_word[-1] times the element {mask: coefficient}."""
+    for g in reversed(word):
+        acc = {}
+        for mask, c in items.items():
+            add_terms(acc, _cliff_insert(g, mask), c)
+        items = acc
+    return items
 
 
 @lru_cache(maxsize=None)
 def clifford_product_items(m1: int, m2: int) -> tuple:
-    items = {m2: _ONE}
     bits = [k for k in range(4) if m1 >> k & 1]
-    for g in reversed(bits):
-        acc = {}
-        for mask, c in items.items():
-            for mask2, c2 in _cliff_insert(g, mask):
-                w = acc.get(mask2, 0) + c * c2
-                if w:
-                    acc[mask2] = w
-                else:
-                    acc.pop(mask2, None)
-        items = acc
-    return tuple(items.items())
+    return tuple(_word_product(bits, {m2: 1}).items())
 
 
-class CElement:
+class CElement(SparseElement):
     """Element of C(p): {blade mask: coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    UNIT = 0
+    key_degree = staticmethod(int.bit_count)
 
-    def __init__(self, coeffs=None):
-        data = {}
-        for key, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                data[key] = v
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def filtration_degree(self):
-        if not self.coeffs:
-            return None
-        return max(m.bit_count() for m in self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return CElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CElement({k: -v for k, v in self.coeffs.items()})
-
-    def _scaled(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return CElement()
-        return CElement({k: scalar * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+    def _product(self, other) -> dict:
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
-                q = ca * cb
-                for mask, c in clifford_product_items(ma, mb):
-                    w = out.get(mask, 0) + q * c
-                    if w:
-                        out[mask] = w
-                    else:
-                        out.pop(mask, None)
-        return CElement(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = c_one()
-        for _ in range(n):
-            out = out * self
+                add_terms(out, clifford_product_items(ma, mb), ca * cb)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self):
         from . import expr
@@ -163,8 +95,7 @@ class CElement:
         return "CElement(%s)" % expr.format_c(self)
 
 
-def c_scalar(c) -> CElement:
-    return CElement({0: c})
+c_scalar = CElement.scalar
 
 
 def c_one() -> CElement:
@@ -208,25 +139,7 @@ def chevalley_mask(mask: int) -> CElement:
         return CElement({mask: 1})
     acc = {}
     for perm in permutations(bits):
-        s = _perm_sign(perm)
-        # multiply out v_{perm[0]} ... v_{perm[n-1]}
-        prod = {0: _ONE}
-        for g in reversed(perm):
-            nxt = {}
-            for m, c in prod.items():
-                for m2, c2 in _cliff_insert(g, m):
-                    w = nxt.get(m2, 0) + c * c2
-                    if w:
-                        nxt[m2] = w
-                    else:
-                        nxt.pop(m2, None)
-            prod = nxt
-        for m, c in prod.items():
-            w = acc.get(m, 0) + s * c
-            if w:
-                acc[m] = w
-            else:
-                acc.pop(m, None)
+        add_terms(acc, _word_product(perm, {0: 1}).items(), _perm_sign(perm))
     fact = 1
     for k in range(2, n + 1):
         fact *= k

@@ -14,13 +14,15 @@ and runs the exact identity suites tying them together:
     survive modulo the ideal generated by D,
   * the expressions of the two central elements of U(sl3).
 
-Everything is exact rational arithmetic; a failed check reports the full
-residual element, which is what localizes a convention error.
+Everything is exact arithmetic on ``int`` and ``Fraction`` coefficients
+(``linalg.exact``): the lifts, D and D^k are integral, so their products
+stay in integers until a rational scalar such as 3/2 enters.  A failed
+check reports the full residual element, which is what localizes a
+convention error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,96 +31,48 @@ from . import enveloping as env
 from . import lie
 from . import symext
 from .lie import GVector
+from .linalg import SparseElement
 from .report import CheckResult, VerificationReport
 
 ZERO_EXPS = (0,) * 8
 
 
-class UCElement:
+def _add_tensor_terms(out: dict, ue, c_items, scale) -> None:
+    """Add scale times ue (x) c_items into out, dropping zeros."""
+    for cm, cc in c_items:
+        key = (ue, cm)
+        w = out.get(key, 0) + scale * cc
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+
+
+class UCElement(SparseElement):
     """Element of U(sl3) (x) C(p): {(PBW exponents, blade mask): coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    UNIT = (ZERO_EXPS, 0)
+    key_degree = staticmethod(symext.SymTensorElement.key_degree)
 
-    def __init__(self, coeffs=None):
-        data = {}
-        for key, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                data[key] = v
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def filtration_degree(self):
-        if not self.coeffs:
-            return None
-        return max(sum(e) + m.bit_count() for e, m in self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return UCElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UCElement({k: -v for k, v in self.coeffs.items()})
-
-    def _scaled(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return UCElement()
-        return UCElement({k: scalar * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+    def _product(self, other) -> dict:
         out = {}
         for (ea, ma), ca in self.coeffs.items():
             for (eb, mb), cb in other.coeffs.items():
                 q = ca * cb
                 for ue, uc in env.pbw_product_items(ea, eb):
-                    quc = q * uc
-                    for cm, cc in cl.clifford_product_items(ma, mb):
-                        key = (ue, cm)
-                        w = out.get(key, 0) + quc * cc
-                        if w:
-                            out[key] = w
-                        else:
-                            out.pop(key, None)
-        return UCElement(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = uc_one()
-        for _ in range(n):
-            out = out * self
+                    _add_tensor_terms(
+                        out, ue, cl.clifford_product_items(ma, mb), q * uc
+                    )
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, UCElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self):
         from . import expr
 
-        return "UCElement(%s)" % expr.format_uc(self)
+        return "UCElement(%s)" % expr.format_tensor(self, "*")
 
 
-def uc_scalar(c) -> UCElement:
-    return UCElement({(ZERO_EXPS, 0): c})
+uc_scalar = UCElement.scalar
 
 
 def uc_one() -> UCElement:
@@ -143,14 +97,8 @@ def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     out = {}
     for (exps, mask), q in x.coeffs.items():
         for ue, uc in env._symmetrize_items(exps):
-            quc = q * uc
-            for cm, cc in cl.chevalley_mask(mask).coeffs.items():
-                key = (ue, cm)
-                w = out.get(key, 0) + quc * cc
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+            c_items = cl.chevalley_mask(mask).coeffs.items()
+            _add_tensor_terms(out, ue, c_items, q * uc)
     return UCElement(out)
 
 
@@ -263,64 +211,17 @@ def rho_k_norm_sq() -> Fraction:
     return _half_sum_norm_sq((lie.E,))
 
 
-@dataclass
-class LiftedInvariants:
-    """Lifts of the ten commutative invariants to U(sl3) (x) C(p)."""
-
-    a: UCElement
-    b: UCElement
-    c: UCElement
-    d: UCElement
-    e: UCElement
-    f: UCElement
-    g: UCElement
-    h: UCElement
-    i: UCElement
-    j: UCElement
-
-    def as_dict(self):
-        return {
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d, "e": self.e,
-            "f": self.f, "g": self.g, "h": self.h, "i": self.i, "j": self.j,
-        }
-
-    def t_products(self):
-        by_name = self.as_dict()
-        out = []
-        for name in symext.T_ORDER:
-            if name == "1":
-                out.append((name, uc_one()))
-            elif name == "g^2":
-                out.append((name, self.g * self.g))
-            elif len(name) == 1:
-                out.append((name, by_name[name]))
-            else:
-                out.append((name, by_name[name[0]] * by_name[name[1]]))
-        return out
-
-    def s_monomial(self, n1, n2, n3, n4) -> UCElement:
-        return self.a ** n1 * self.b ** n2 * self.c ** n3 * self.d ** n4
-
-
 @lru_cache(maxsize=None)
-def lifted_generators() -> LiftedInvariants:
+def lifted_generators() -> symext.InvariantGenerators:
+    """Lifts of the ten commutative invariants to U(sl3) (x) C(p)."""
     uh = env.from_gvector(lie.H_VEC)
-    ua = env.from_gvector(lie.A_VEC)
     ue, uf = env.u_gen(lie.E), env.u_gen(lie.F)
     ue1, ue2 = env.u_gen(lie.E1), env.u_gen(lie.E2)
     uf1, uf2 = env.u_gen(lie.F1), env.u_gen(lie.F2)
     ce1, ce2 = cl.c_gen(lie.E1), cl.c_gen(lie.E2)
     cf1, cf2 = cl.c_gen(lie.F1), cl.c_gen(lie.F2)
 
-    a = embed_u(ua)
-    b = embed_u(uh * uh + 2 * (ue * uf + uf * ue))
-    c = embed_u(ue1 * uf1 + ue2 * uf2)
-    d = embed_u(
-        2 * (ue * ue2 * uf1)
-        + uh * ue1 * uf1
-        - uh * ue2 * uf2
-        + 2 * (uf * ue1 * uf2)
-    )
+    a, b, c, d = (embed_u(x) for x in env._polynomial_generators())
     e = embed_u(uf1) * embed_c(ce1) + embed_u(uf2) * embed_c(ce2)
     f = embed_u(ue1) * embed_c(cf1) + embed_u(ue2) * embed_c(cf2)
     g = embed_c(ce1 * cf1 + ce2 * cf2)
@@ -336,7 +237,7 @@ def lifted_generators() -> LiftedInvariants:
     j = embed_u(uh * uf1 + 2 * (uf * uf2)) * embed_c(ce1) + embed_u(
         2 * (ue * uf1) - uh * uf2
     ) * embed_c(ce2)
-    return LiftedInvariants(a, b, c, d, e, f, g, h, i, j)
+    return symext.InvariantGenerators(a, b, c, d, e, f, g, h, i, j)
 
 
 def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:
@@ -345,7 +246,7 @@ def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:
     diff = lhs - rhs
     if diff.is_zero():
         return CheckResult(check_id, anchor, True)
-    return CheckResult(check_id, anchor, False, expr.format_uc(diff))
+    return CheckResult(check_id, anchor, False, expr.format_tensor(diff, "*"))
 
 
 def verify_sigma_tau_table() -> VerificationReport:

@@ -14,6 +14,12 @@ orderings of its letters.  It is computed by the first-letter recursion
 
 which telescopes to the factorial-average definition; the tests pin it
 against the literal brute-force sum in low degree.
+
+Coefficients follow the policy of ``linalg.exact``: an ``int`` whenever
+the value is integral, a ``Fraction`` otherwise.  The structure constants
+are integers and the insertion cache starts from the integer 1, so
+products of integral elements never touch ``Fraction``; one enters only
+with the 1/deg m of symmetrization or a rational scalar.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from functools import lru_cache
 
 from . import lie
 from .lie import GVector
+from .linalg import SparseElement, add_terms
 
 ZERO_EXPS = (0,) * 8
-_ONE = Fraction(1)
 
 
 def _inc(exps, i):
@@ -52,120 +58,45 @@ def _insert(g: int, exps) -> tuple:
     """z_g times the normal monomial, as ((exponents, coefficient), ...)."""
     h = _first_letter(exps)
     if h is None or g <= h:
-        return ((_inc(exps, g), _ONE),)
+        return ((_inc(exps, g), 1),)
     rest = _dec(exps, h)
     acc = {}
     # z_g z_h rest = z_h (z_g rest) + [z_g, z_h] rest
     for k1, c1 in _insert(g, rest):
-        for k2, c2 in _insert(h, k1):
-            w = acc.get(k2, 0) + c1 * c2
-            if w:
-                acc[k2] = w
-            else:
-                acc.pop(k2, None)
+        add_terms(acc, _insert(h, k1), c1)
     for comp, u in lie.BRACKET_TABLE[g][h].coeffs.items():
-        for k2, c2 in _insert(comp, rest):
-            w = acc.get(k2, 0) + u * c2
-            if w:
-                acc[k2] = w
-            else:
-                acc.pop(k2, None)
+        add_terms(acc, _insert(comp, rest), u)
     return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
 def pbw_product_items(k1, k2) -> tuple:
     """Normal form of the product of two basis monomials."""
-    items = {k2: _ONE}
+    items = {k2: 1}
     word = []
     for i, e in enumerate(k1):
         word.extend([i] * e)
     for g in reversed(word):
         acc = {}
         for key, c in items.items():
-            for key2, c2 in _insert(g, key):
-                w = acc.get(key2, 0) + c * c2
-                if w:
-                    acc[key2] = w
-                else:
-                    acc.pop(key2, None)
+            add_terms(acc, _insert(g, key), c)
         items = acc
     return tuple(items.items())
 
 
-class UElement:
+class UElement(SparseElement):
     """Element of U(sl3): {PBW exponent vector: coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    UNIT = ZERO_EXPS
+    key_degree = staticmethod(sum)
 
-    def __init__(self, coeffs=None):
-        data = {}
-        for key, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                data[key] = v
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def filtration_degree(self):
-        if not self.coeffs:
-            return None
-        return max(sum(k) for k in self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return UElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UElement({k: -v for k, v in self.coeffs.items()})
-
-    def _scaled(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return UElement()
-        return UElement({k: scalar * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+    def _product(self, other) -> dict:
         out = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
-                q = ca * cb
-                for key, c in pbw_product_items(ka, kb):
-                    w = out.get(key, 0) + q * c
-                    if w:
-                        out[key] = w
-                    else:
-                        out.pop(key, None)
-        return UElement(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = u_one()
-        for _ in range(n):
-            out = out * self
+                add_terms(out, pbw_product_items(ka, kb), ca * cb)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self):
         from . import expr
@@ -173,8 +104,7 @@ class UElement:
         return "UElement(%s)" % expr.format_u(self)
 
 
-def u_scalar(c) -> UElement:
-    return UElement({ZERO_EXPS: c})
+u_scalar = UElement.scalar
 
 
 def u_one() -> UElement:
@@ -197,20 +127,14 @@ def u_commutator(x: UElement, y: UElement) -> UElement:
 def _symmetrize_items(exps) -> tuple:
     n = sum(exps)
     if n == 0:
-        return ((ZERO_EXPS, _ONE),)
+        return ((ZERO_EXPS, 1),)
     acc = {}
     for i, e in enumerate(exps):
         if not e:
             continue
         q = Fraction(e, n)
         for key, c in _symmetrize_items(_dec(exps, i)):
-            qc = q * c
-            for key2, c2 in _insert(i, key):
-                w = acc.get(key2, 0) + qc * c2
-                if w:
-                    acc[key2] = w
-                else:
-                    acc.pop(key2, None)
+            add_terms(acc, _insert(i, key), q * c)
     return tuple(acc.items())
 
 

@@ -19,9 +19,11 @@ they admit and the algebra the operators act in:
     enveloping  U(sl3) with normal-form products
     clifford    C(p); symbols E1 E2 F1 F2
 
-H and a abbreviate H1 - H2 and H1 + H2.  Printing emits one term per
-canonical key, so parse(print(x)) recovers x exactly, and print(parse(s))
-canonicalizes s.
+H and a abbreviate H1 - H2 and H1 + H2.  Parentheses nest at most
+MAX_NESTING (100) levels deep; deeper input is an ExprError, like any
+other malformed expression.  Printing emits one term per canonical key,
+so parse(print(x)) recovers x exactly, and print(parse(s)) canonicalizes
+s.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from . import lie
 from . import symext
 
 CONTEXTS = ("symmetric", "enveloping", "clifford", "tensor")
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -143,6 +146,7 @@ class _Parser:
     def __init__(self, tokens, symbols, ext_symbols, scalar, allow_tensor):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.symbols = symbols
         self.ext_symbols = ext_symbols
         self.scalar = scalar
@@ -234,11 +238,15 @@ class _Parser:
             self.advance()
             return table[val]
         if kind == "lparen":
+            if self.depth == MAX_NESTING:
+                self.fail("parentheses nested deeper than %d" % MAX_NESTING)
+            self.depth += 1
             self.advance()
             value = self.expr(ext_mode)
             if self.peek()[0] != "rparen":
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return value
         self.fail("expected a number, symbol or '('")
 
@@ -293,26 +301,25 @@ def _join_terms(terms) -> str:
     return "".join(out)
 
 
-def _sym_key_order(key):
-    exps, mask = key
-    return (sum(exps) + mask.bit_count(), key)
-
-
-def format_sym_tensor(x) -> str:
+def format_tensor(x, sep="^^") -> str:
+    """Print an element of S(g) (x) Lambda(p), or with sep="*" of
+    U(g) (x) C(p); sep joins the letters of the right tensor leg."""
     terms = []
-    for key in sorted(x.coeffs, key=_sym_key_order, reverse=True):
+    for key in sorted(
+        x.coeffs, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True
+    ):
         exps, mask = key
         q = x.coeffs[key]
-        sym = _exps_str(exps)
-        ext = _mask_str(mask, "^^")
-        if ext is None:
-            terms.append((q, sym))
+        left = _exps_str(exps)
+        right = _mask_str(mask, sep)
+        if right is None:
+            terms.append((q, left))
         else:
-            left = sym if sym is not None else str(abs(q))
-            body = "%s (x) %s" % (left, ext)
-            if sym is None:
+            lead = left if left is not None else str(abs(q))
+            body = "%s (x) %s" % (lead, right)
+            if left is None:
                 # magnitude already folded into the left leg
-                terms.append((Fraction(1) if q > 0 else Fraction(-1), body))
+                terms.append((1 if q > 0 else -1, body))
             else:
                 terms.append((q, body))
     return _join_terms(terms)
@@ -332,30 +339,9 @@ def format_c(x) -> str:
     return _join_terms(terms)
 
 
-def format_uc(x) -> str:
-    terms = []
-    for key in sorted(
-        x.coeffs, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True
-    ):
-        exps, mask = key
-        q = x.coeffs[key]
-        left = _exps_str(exps)
-        right = _mask_str(mask, "*")
-        if right is None:
-            terms.append((q, left))
-        else:
-            lead = left if left is not None else str(abs(q))
-            body = "%s (x) %s" % (lead, right)
-            if left is None:
-                terms.append((Fraction(1) if q > 0 else Fraction(-1), body))
-            else:
-                terms.append((q, body))
-    return _join_terms(terms)
-
-
 def format_element(x, context: str) -> str:
     if context in ("symmetric", "tensor"):
-        return format_sym_tensor(x)
+        return format_tensor(x)
     if context == "enveloping":
         return format_u(x)
     if context == "clifford":

@@ -498,13 +498,6 @@ def verify_product_basis(max_degree: int = 8) -> VerificationReport:
     return VerificationReport("st-basis", {"max_degree": max_degree}, checks)
 
 
-def uc_rows_from_elements(elements):
-    keys = sorted({k for x in elements for k in x.coeffs})
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [{index[k]: v for k, v in x.coeffs.items()} for x in elements]
-    return rows, keys
-
-
 @lru_cache(maxsize=None)
 def lifted_product_members(max_degree: int) -> tuple:
     """Lifted products of total degree up to the bound, with their degrees."""
@@ -533,7 +526,7 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
     checks = []
     lift = dirac.lifted_generators()
     t_elements = [x for _, x in lift.t_products()]
-    rows, _ = uc_rows_from_elements(t_elements)
+    rows, _ = rows_from_elements(t_elements)
     t_rank = linalg.rank_of_rows(rows)
     checks.append(
         CheckResult(
@@ -547,7 +540,7 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
     for m in range(max_filtration + 1):
         upto = [x for _, x, deg in members if deg <= m]
         count = len(upto)
-        rows, _ = uc_rows_from_elements(upto)
+        rows, _ = rows_from_elements(upto)
         rank = linalg.rank_of_rows(rows)
         expect = sum(expected_dimension(k) for k in range(m + 1))
         checks.append(
@@ -565,6 +558,15 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
     )
 
 
+MAX_SLICE_BOUND = 4
+
+
+def check_slice_bound(bound: int) -> None:
+    """Reject an ideal-slice bound above MAX_SLICE_BOUND."""
+    if bound > MAX_SLICE_BOUND:
+        raise ValueError("slice bound is capped at %d" % MAX_SLICE_BOUND)
+
+
 def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     """Products u D v cannot meet the pure-k coordinate subspace.
 
@@ -573,8 +575,7 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     of the slice with the rank of its projection away from the pure-k
     coordinates.
     """
-    if bound > 4:
-        raise ValueError("slice bound is capped at 4")
+    check_slice_bound(bound)
     D = dirac.dirac_operator()
     checks = [
         CheckResult(
@@ -589,7 +590,7 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
         for _, v, dv in members:
             if du + dv <= bound:
                 products.append(u * D * v)
-    rows, keys = uc_rows_from_elements(products)
+    rows, keys = rows_from_elements(products)
     full_rank = linalg.rank_of_rows(rows)
     keep = {i for i, (e, _m) in enumerate(keys) if any(e[4:])}
     projected = [{c: v for c, v in row.items() if c in keep} for row in rows]

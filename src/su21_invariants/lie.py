@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .linalg import SparseElement, add_terms
+
 H1, H2, E, F, E1, E2, F1, F2 = range(8)
 BASIS_NAMES = ("H1", "H2", "E", "F", "E1", "E2", "F1", "F2")
 K_INDICES = (H1, H2, E, F)
@@ -70,48 +72,10 @@ def mat_trace(x):
     return x[0][0] + x[1][1] + x[2][2]
 
 
-class GVector:
+class GVector(SparseElement):
     """Element of sl(3,C) over the fixed basis; zero coefficients absent."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        for i, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                data[i] = v
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            w = out.get(i, 0) + v
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-        return GVector(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GVector({i: -v for i, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return GVector({i: scalar * v for i, v in self.coeffs.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    __slots__ = ()
 
     def in_span(self, indices) -> bool:
         allowed = set(indices)
@@ -187,13 +151,7 @@ def bracket(x: GVector, y: GVector) -> GVector:
     out = {}
     for i, a in x.coeffs.items():
         for j, b in y.coeffs.items():
-            ab = a * b
-            for k, c in BRACKET_TABLE[i][j].coeffs.items():
-                w = out.get(k, 0) + ab * c
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
+            add_terms(out, BRACKET_TABLE[i][j].coeffs.items(), a * b)
     return GVector(out)
 
 

@@ -1,7 +1,8 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and the element core.
 
 Vectors and matrix rows are ``{column: value}`` dicts with zero entries
-absent; values are exact, ``int`` or ``Fraction``.  Elimination is
+absent; values are exact: an ``int`` whenever the value is integral, a
+``Fraction`` otherwise, never a float (see ``exact``).  Elimination is
 fraction-free: rows are rescaled to primitive integer vectors (an all-int
 row needs no ``Fraction`` at all) and combined by integer
 cross-multiplication, with the content divided out after every
@@ -12,12 +13,38 @@ reduced echelon form divides, and its entries are ``Fraction``s.
 The reduced echelon form depends only on the column order, never on the
 order the rows arrive in, so every rank, kernel and solution produced
 here is canonical for a fixed column order.
+
+``SparseElement`` is the same ``{key: value}`` representation seen as an
+element of an algebra.  It carries the linear structure (normalization,
+sums, negation, scalar multiples), powers and equality for every algebra
+of the package: g, S(g) (x) Lambda(p), U(g), C(p) and U(g) (x) C(p).  A
+subclass supplies only its unit key, the degree of one key, the product
+of two elements as a ``{key: value}`` dict, and its printed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def add_terms(out: dict, items, scale=1) -> None:
+    """Add scale times each (key, value) of items into out, dropping zeros."""
+    for key, v in items:
+        w = out.get(key, 0) + scale * v
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
 
 
 def _primitive(row) -> dict:
@@ -158,65 +185,76 @@ def solve_rows(rows, rhs, ncols: int):
     return sol
 
 
-class SparseMatrix:
-    """Exact sparse rational matrix with rank/kernel/solve support."""
+class SparseElement:
+    """Element of an algebra over its basis: {key: exact coefficient}.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    Subclasses set ``UNIT``, the key of the unit element, and define
+    ``key_degree(key)``, ``_product(other) -> dict`` and ``__repr__``.
+    """
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        for (r, c), v in (entries or {}).items():
-            v = Fraction(v)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        data = {}
+        for key, v in (coeffs or {}).items():
+            if type(v) is not int:
+                v = exact(v)
             if v:
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise IndexError((r, c))
-                self.entries[(r, c)] = v
+                data[key] = v
+        self.coeffs = data
 
     @classmethod
-    def from_rows(cls, rows, ncols: int) -> "SparseMatrix":
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                entries[(r, c)] = v
-        return cls(len(rows), ncols, entries)
+    def scalar(cls, c):
+        return cls({cls.UNIT: c})
 
-    def row_dicts(self) -> list:
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
-    def rank(self) -> int:
-        return rank_of_rows(self.row_dicts())
+    def degree(self):
+        """Top degree of a key, or None for the zero element."""
+        if not self.coeffs:
+            return None
+        return max(map(self.key_degree, self.coeffs))
 
-    def rref(self) -> dict:
-        return rref_rows(self.row_dicts())
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        add_terms(out, other.coeffs.items())
+        return type(self)(out)
 
-    def kernel_basis(self) -> list:
-        return kernel_of_rows(self.row_dicts(), self.ncols)
+    def __sub__(self, other):
+        out = dict(self.coeffs)
+        add_terms(out, other.coeffs.items(), -1)
+        return type(self)(out)
 
-    def solve(self, rhs):
-        return solve_rows(self.row_dicts(), rhs, self.ncols)
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.coeffs.items()})
 
-    def permuted_columns(self, perm) -> "SparseMatrix":
-        """Relabel columns by perm (old index -> new index)."""
-        entries = {(r, perm[c]): v for (r, c), v in self.entries.items()}
-        return SparseMatrix(self.nrows, self.ncols, entries)
+    def _scaled(self, scalar):
+        scalar = exact(scalar)
+        if not scalar:
+            return type(self)()
+        return type(self)({k: scalar * v for k, v in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        return self._scaled(scalar)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return type(self)(self._product(other))
+
+    def _product(self, other) -> dict:
+        raise TypeError("%s has no product" % type(self).__name__)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.scalar(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == (
-            other.nrows,
-            other.ncols,
-            other.entries,
-        )
-
-    def __repr__(self):
-        return "SparseMatrix(%d, %d, nnz=%d)" % (
-            self.nrows,
-            self.ncols,
-            len(self.entries),
-        )
+        return self.coeffs == other.coeffs

@@ -1,8 +1,6 @@
 """Check results and verification reports with deterministic rendering.
 
-A report is reproducible byte for byte under a fixed configuration, so
-elapsed wall time is kept on the object for callers that want it but is
-never serialized.
+A report is reproducible byte for byte under a fixed configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ class VerificationReport:
     suite: str
     config: dict
     checks: list
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -66,12 +63,10 @@ class VerificationReport:
 def merge_reports(suite: str, config: dict, reports) -> VerificationReport:
     """Concatenate the checks of several reports under one suite name."""
     checks = []
-    elapsed = 0.0
     for rep in reports:
         prefix = "" if rep.suite == suite else rep.suite + ":"
         for c in rep.checks:
             checks.append(
                 CheckResult(prefix + c.check_id, c.anchor, c.passed, c.residual)
             )
-        elapsed += rep.elapsed
-    return VerificationReport(suite, config, checks, elapsed)
+    return VerificationReport(suite, config, checks)

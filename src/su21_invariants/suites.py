@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from . import dirac, invariants, lie
 from .report import CheckResult, VerificationReport, merge_reports
 
@@ -149,6 +147,29 @@ def _suite_lemmas(config) -> VerificationReport:
     return merge_reports("lemmas", {}, reports)
 
 
+# One runner per suite, called with (max_degree, max_filtration).
+_RUNNERS = {
+    "lie": lambda deg, filt: _suite_lie({}),
+    "lemmas": lambda deg, filt: _suite_lemmas({}),
+    "table": lambda deg, filt: invariants.verify_table(deg),
+    "st-basis": lambda deg, filt: invariants.verify_product_basis(deg),
+    "sigma-tau": lambda deg, filt: dirac.verify_sigma_tau_table(),
+    "reduction": lambda deg, filt: dirac.verify_reduction_identities(),
+    "dirac-square": lambda deg, filt: dirac.verify_dirac_square(),
+    "dk": lambda deg, filt: dirac.verify_dk_identity(),
+    "abelian": lambda deg, filt: dirac.verify_abelian_commutators(),
+    "casimir": lambda deg, filt: dirac.verify_casimir_expressions(),
+    "uc-basis": lambda deg, filt: invariants.verify_lifted_basis_slice(
+        DEFAULT_MAX_FILTRATION if filt is None else filt
+    ),
+    "ideal-slice": lambda deg, filt: invariants.verify_ideal_slice(
+        DEFAULT_IDEAL_BOUND if filt is None else filt
+    ),
+}
+
+SUITE_NAMES = tuple(_RUNNERS) + ("all",)
+
+
 def run_suite(name: str, max_degree=None, max_filtration=None) -> VerificationReport:
     """Run one named suite (or 'all'); deterministic given its bounds."""
     if max_degree is not None and max_degree < 0:
@@ -156,45 +177,19 @@ def run_suite(name: str, max_degree=None, max_filtration=None) -> VerificationRe
     if max_filtration is not None and max_filtration < 0:
         raise ValueError("max_filtration must be nonnegative")
     max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
-    runners = {
-        "lie": lambda: _suite_lie({}),
-        "lemmas": lambda: _suite_lemmas({}),
-        "table": lambda: invariants.verify_table(max_degree),
-        "st-basis": lambda: invariants.verify_product_basis(max_degree),
-        "sigma-tau": dirac.verify_sigma_tau_table,
-        "reduction": dirac.verify_reduction_identities,
-        "dirac-square": dirac.verify_dirac_square,
-        "dk": dirac.verify_dk_identity,
-        "abelian": dirac.verify_abelian_commutators,
-        "casimir": dirac.verify_casimir_expressions,
-        "uc-basis": lambda: invariants.verify_lifted_basis_slice(
-            DEFAULT_MAX_FILTRATION if max_filtration is None else max_filtration
-        ),
-        "ideal-slice": lambda: invariants.verify_ideal_slice(
-            DEFAULT_IDEAL_BOUND if max_filtration is None else max_filtration
-        ),
-    }
     if name == "all":
+        if max_filtration is not None:
+            # ideal-slice runs last; reject its bound before anything runs.
+            invariants.check_slice_bound(max_filtration)
         reports = []
-        for key in runners:
+        for key in _RUNNERS:
             reports.append(run_suite(key, max_degree, max_filtration))
         config = {"max_degree": max_degree}
         if max_filtration is not None:
             config["max_filtration"] = max_filtration
         return merge_reports("all", config, reports)
-    if name not in runners:
+    if name not in _RUNNERS:
         raise ValueError(
-            "unknown suite %r (choose from %s)"
-            % (name, ", ".join(list(runners) + ["all"]))
+            "unknown suite %r (choose from %s)" % (name, ", ".join(SUITE_NAMES))
         )
-    start = time.perf_counter()
-    rep = runners[name]()
-    rep.elapsed = time.perf_counter() - start
-    return rep
-
-
-SUITE_NAMES = (
-    "lie", "lemmas", "table", "st-basis", "sigma-tau", "reduction",
-    "dirac-square", "dk", "abelian", "casimir", "uc-basis", "ideal-slice",
-    "all",
-)
+    return _RUNNERS[name](max_degree, max_filtration)

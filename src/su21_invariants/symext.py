@@ -7,8 +7,8 @@ normalized to increasing mask order; total degree is symmetric degree
 plus exterior degree.  The adjoint action of k extends the bracket as a
 derivation on both tensor legs.
 
-Coefficients are exact: an ``int`` whenever the value is integral, a
-``Fraction`` otherwise, never a float.  Every weight, structure constant
+Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
+is integral, a ``Fraction`` otherwise, never a float.  Every weight, structure constant
 and coefficient of the invariants a..j is an integer, so products and the
 k-action stay in integer arithmetic; a ``Fraction`` enters only with a
 real division, such as an echelon-normalized kernel vector or a scalar
@@ -17,31 +17,15 @@ like 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from . import lie
 from .lie import E, E1, E2, F, F1, F2, GVector, Weight
+from .linalg import SparseElement, add_terms
 
 ZERO_EXPS = (0,) * 8
 EXT_NAMES = ("E1", "E2", "F1", "F2")
-
-
-def _exact(v):
-    """v as an int when it is integral, else as a Fraction."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
-# Structure constants of the fixed basis, all integers, as {index: int}.
-_BRACKETS = tuple(
-    tuple({k: _exact(c) for k, c in v.coeffs.items()} for v in row)
-    for row in lie.BRACKET_TABLE
-)
 
 
 def ext_bit(index: int) -> int:
@@ -60,56 +44,18 @@ def _merge_sign(ma: int, mb: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-class SymTensorElement:
+class SymTensorElement(SparseElement):
     """Element of S(g) (x) Lambda(p); {(exponents, mask): coefficient}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    UNIT = (ZERO_EXPS, 0)
 
-    def __init__(self, coeffs=None):
-        data = {}
-        for key, v in (coeffs or {}).items():
-            v = _exact(v)
-            if v:
-                data[key] = v
-        self.coeffs = data
+    @staticmethod
+    def key_degree(key) -> int:
+        exps, mask = key
+        return sum(exps) + mask.bit_count()
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """Top total degree, or None for the zero element."""
-        if not self.coeffs:
-            return None
-        return max(sum(e) + m.bit_count() for e, m in self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return SymTensorElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymTensorElement({k: -v for k, v in self.coeffs.items()})
-
-    def _scaled(self, scalar):
-        scalar = _exact(scalar)
-        if not scalar:
-            return SymTensorElement()
-        return SymTensorElement({k: scalar * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+    def _product(self, other) -> dict:
         out = {}
         for (ea, ma), ca in self.coeffs.items():
             for (eb, mb), cb in other.coeffs.items():
@@ -122,29 +68,15 @@ class SymTensorElement:
                     out[key] = w
                 else:
                     out.pop(key, None)
-        return SymTensorElement(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = one()
-        for _ in range(n):
-            out = out * self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SymTensorElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self):
         from . import expr
 
-        return "SymTensorElement(%s)" % expr.format_sym_tensor(self)
+        return "SymTensorElement(%s)" % expr.format_tensor(self)
 
 
-def scalar(c) -> SymTensorElement:
-    return SymTensorElement({(ZERO_EXPS, 0): c})
+scalar = SymTensorElement.scalar
 
 
 def one() -> SymTensorElement:
@@ -196,17 +128,11 @@ def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
     On the exterior leg only the k-part of the action makes sense; a z
     whose bracket pushes an exterior letter out of p raises ValueError.
     """
-    z_coeffs = [(zi, _exact(zc)) for zi, zc in z.coeffs.items()]
     img = [None] * 8
     for i, _ in enumerate(img):
         acc = {}
-        for zi, zc in z_coeffs:
-            for k, c in _BRACKETS[zi][i].items():
-                w = acc.get(k, 0) + zc * c
-                if w:
-                    acc[k] = w
-                else:
-                    acc.pop(k, None)
+        for zi, zc in z.coeffs.items():
+            add_terms(acc, lie.BRACKET_TABLE[zi][i].coeffs.items(), zc)
         img[i] = acc
 
     out = {}
@@ -272,24 +198,22 @@ S_DEGREES = (1, 2, 2, 3)  # degrees of a, b, c, d
 
 @dataclass
 class InvariantGenerators:
-    """The ten invariants generating the K-invariant subalgebra."""
+    """The ten invariants generating the K-invariant subalgebra, in
+    S(g) (x) Lambda(p) or, lifted, in U(g) (x) C(p)."""
 
-    a: SymTensorElement
-    b: SymTensorElement
-    c: SymTensorElement
-    d: SymTensorElement
-    e: SymTensorElement
-    f: SymTensorElement
-    g: SymTensorElement
-    h: SymTensorElement
-    i: SymTensorElement
-    j: SymTensorElement
+    a: SparseElement
+    b: SparseElement
+    c: SparseElement
+    d: SparseElement
+    e: SparseElement
+    f: SparseElement
+    g: SparseElement
+    h: SparseElement
+    i: SparseElement
+    j: SparseElement
 
     def as_dict(self):
-        return {
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d, "e": self.e,
-            "f": self.f, "g": self.g, "h": self.h, "i": self.i, "j": self.j,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def t_products(self):
         """The sixteen module generators over C[a,b,c,d], in fixed order."""
@@ -297,7 +221,7 @@ class InvariantGenerators:
         out = []
         for name in T_ORDER:
             if name == "1":
-                out.append((name, one()))
+                out.append((name, self.a.scalar(1)))
             elif name == "g^2":
                 out.append((name, self.g * self.g))
             elif len(name) == 1:
@@ -306,7 +230,7 @@ class InvariantGenerators:
                 out.append((name, by_name[name[0]] * by_name[name[1]]))
         return out
 
-    def s_monomial(self, n1: int, n2: int, n3: int, n4: int) -> SymTensorElement:
+    def s_monomial(self, n1: int, n2: int, n3: int, n4: int):
         return self.a ** n1 * self.b ** n2 * self.c ** n3 * self.d ** n4
 
 

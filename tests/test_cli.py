@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,16 @@ def test_verify_reports_are_byte_identical():
     t1 = suites.run_suite("lie").to_text()
     t2 = suites.run_suite("lie").to_text()
     assert t1 == t2
+
+
+def test_verify_all_report_digests_are_pinned():
+    # Digests of the default "verify all" renderings; any change to a check,
+    # an anchor or a residual changes them.
+    rep = suites.run_suite("all")
+    text = hashlib.sha256(rep.to_text().encode()).hexdigest()
+    payload = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert text == "62792552b1a6f2020dd337e2501bc8b69a70a22cb88c1d6bd6a06d997f5b4e50"
+    assert payload == "99c51d748509da914a361928d774ec947392264191d57c3c2e5e7acdcdd18357"
 
 
 def test_verify_failure_exits_nonzero(monkeypatch, capsys):
@@ -92,6 +103,15 @@ def test_zero_denominator_is_a_usage_error(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_nesting_depth_is_capped(capsys):
+    deep = "(" * 5000 + "1" + ")" * 5000
+    assert cli.main(["eval", "--context", "symmetric", deep]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+    shallow = "(" * 50 + "1" + ")" * 50
+    assert cli.main(["eval", "--context", "symmetric", shallow]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"
@@ -107,6 +127,15 @@ def test_run_suite_all_merges_everything():
     assert any(i.startswith("lie:") for i in ids)
     assert any(i.startswith("uc-basis:") for i in ids)
     assert any(i.startswith("ideal-slice:") for i in ids)
+
+
+def test_all_rejects_slice_bound_before_any_suite(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the bound was checked")
+
+    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
+    with pytest.raises(ValueError, match="slice bound is capped at 4"):
+        suites.run_suite("all", max_filtration=5)
 
 
 def test_run_suite_unknown_name():

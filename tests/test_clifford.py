@@ -64,7 +64,7 @@ def test_chevalley_of_invariant_two_form():
 def test_chevalley_leading_term():
     for mask in ALL_MASKS:
         diff = chevalley_mask(mask) - _blade(mask)
-        assert diff.is_zero() or diff.filtration_degree() < mask.bit_count()
+        assert diff.is_zero() or diff.degree() < mask.bit_count()
 
 
 def test_chevalley_accepts_exterior_elements():

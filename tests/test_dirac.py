@@ -196,6 +196,6 @@ def test_casimir_expressions_pass():
 
 def test_product_filtration():
     lift = lifted_generators()
-    assert lift.b.filtration_degree() == 2
-    assert (lift.b * lift.c).filtration_degree() == 4
-    assert dirac_operator().filtration_degree() == 2
+    assert lift.b.degree() == 2
+    assert (lift.b * lift.c).degree() == 4
+    assert dirac_operator().degree() == 2

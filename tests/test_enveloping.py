@@ -80,8 +80,8 @@ def test_filtration_degree_of_products():
         y = _random_element(rng)
         if x.is_zero() or y.is_zero():
             continue
-        dx, dy = x.filtration_degree(), y.filtration_degree()
-        assert (x * y).filtration_degree() == dx + dy
+        dx, dy = x.degree(), y.degree()
+        assert (x * y).degree() == dx + dy
 
 
 def _word_of(exps):
@@ -170,7 +170,7 @@ def test_symmetrize_leading_term():
         exps = _random_monomial(rng, 5)
         deg = sum(exps)
         diff = symmetrize(exps) - UElement({exps: 1})
-        assert diff.is_zero() or diff.filtration_degree() < deg
+        assert diff.is_zero() or diff.degree() < deg
 
 
 def test_casimir_is_central():
@@ -181,6 +181,6 @@ def test_casimir_is_central():
 
 def test_cubic_element_is_central():
     cub = cubic_element()
-    assert cub.filtration_degree() == 3
+    assert cub.degree() == 3
     for gi in range(8):
         assert u_commutator(cub, u_gen(gi)).is_zero()

@@ -12,9 +12,8 @@ from su21_invariants.expr import (
     ExprError,
     format_c,
     format_element,
-    format_sym_tensor,
+    format_tensor,
     format_u,
-    format_uc,
     parse_element,
 )
 
@@ -118,10 +117,10 @@ def test_round_trip_tensor_and_symmetric():
     rng = random.Random(43)
     for _ in range(120):
         x = _random_sym_tensor(rng, allow_ext=True)
-        assert parse_element(format_sym_tensor(x), "tensor") == x
+        assert parse_element(format_tensor(x), "tensor") == x
     for _ in range(60):
         x = _random_sym_tensor(rng, allow_ext=False)
-        assert parse_element(format_sym_tensor(x), "symmetric") == x
+        assert parse_element(format_tensor(x), "symmetric") == x
 
 
 def test_round_trip_enveloping():
@@ -154,15 +153,15 @@ def test_round_trip_clifford():
 def test_print_parse_canonicalizes():
     text = "1 (x) E1^^F1 + 1 (x) E1^^F1"
     parsed = parse_element(text, "tensor")
-    assert format_sym_tensor(parsed) == "2 (x) E1^^F1"
-    again = parse_element(format_sym_tensor(parsed), "tensor")
+    assert format_tensor(parsed) == "2 (x) E1^^F1"
+    again = parse_element(format_tensor(parsed), "tensor")
     assert again == parsed
 
 
 def test_format_uc_mentions_both_legs():
     from su21_invariants import dirac
 
-    text = format_uc(dirac.lifted_generators().e)
+    text = format_tensor(dirac.lifted_generators().e, "*")
     assert "(x)" in text and "F1" in text and "E1" in text
 
 

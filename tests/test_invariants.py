@@ -242,16 +242,25 @@ def _assert_exact(x):
         assert type(v) in (int, Fraction), v
         if v.denominator == 1:
             assert type(v) is int, v
-    assert x == symext.SymTensorElement({k: Fraction(v) for k, v in x.coeffs.items()})
+    assert x == type(x)({k: Fraction(v) for k, v in x.coeffs.items()})
 
 
 def test_coefficients_stay_exact():
+    from su21_invariants import clifford, dirac, enveloping
+
     named = list(symext.named_invariants().as_dict().values())
     for x in named + [x for _, x in inv.product_basis_members(6)]:
         _assert_exact(x)
         assert all(type(v) is int for v in x.coeffs.values())
     for x in inv.invariant_subspace(6):
         _assert_exact(x)
+    lifted = list(dirac.lifted_generators().as_dict().values())
+    D = dirac.dirac_operator()
+    for x in lifted + [D, clifford.chevalley_mask(0b0101)]:
+        _assert_exact(x)
+        assert all(type(v) is int for v in x.coeffs.values())
+    _assert_exact(enveloping.casimir_omega())
+    assert all(type(v) is Fraction for v in (Fraction(1, 2) * D).coeffs.values())
     a = symext.named_invariants().a
     half = Fraction(1, 2) * a
     assert all(type(v) is Fraction for v in half.coeffs.values())
