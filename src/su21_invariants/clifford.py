@@ -26,11 +26,11 @@ from itertools import permutations
 from . import lie
 from . import linalg
 from .lie import GVector
-from .linalg import SparseElement, add_terms, exact
+from .linalg import SparseElement, add_terms
 
 # Pairing of the p basis under the trace form, indexed by mask bits.
 _BP = tuple(
-    tuple(exact(lie.FORM_TABLE[lie.E1 + i][lie.E1 + j]) for j in range(4))
+    tuple(lie.FORM_TABLE[lie.E1 + i][lie.E1 + j] for j in range(4))
     for i in range(4)
 )
 

@@ -60,10 +60,9 @@ class UCElement(SparseElement):
         for (ea, ma), ca in self.coeffs.items():
             for (eb, mb), cb in other.coeffs.items():
                 q = ca * cb
+                c_items = cl.clifford_product_items(ma, mb)
                 for ue, uc in env.pbw_product_items(ea, eb):
-                    _add_tensor_terms(
-                        out, ue, cl.clifford_product_items(ma, mb), q * uc
-                    )
+                    _add_tensor_terms(out, ue, c_items, q * uc)
         return out
 
     def __repr__(self):
@@ -96,8 +95,8 @@ def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     """Symmetrize the symmetric leg, Chevalley-map the exterior leg."""
     out = {}
     for (exps, mask), q in x.coeffs.items():
+        c_items = cl.chevalley_mask(mask).coeffs.items()
         for ue, uc in env._symmetrize_items(exps):
-            c_items = cl.chevalley_mask(mask).coeffs.items()
             _add_tensor_terms(out, ue, c_items, q * uc)
     return UCElement(out)
 

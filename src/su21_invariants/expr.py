@@ -20,10 +20,12 @@ they admit and the algebra the operators act in:
     clifford    C(p); symbols E1 E2 F1 F2
 
 H and a abbreviate H1 - H2 and H1 + H2.  Parentheses nest at most
-MAX_NESTING (100) levels deep; deeper input is an ExprError, like any
-other malformed expression.  Printing emits one term per canonical key,
-so parse(print(x)) recovers x exactly, and print(parse(s)) canonicalizes
-s.
+MAX_NESTING (100) levels deep, and an exponent is at most MAX_EXPONENT
+(32): the cost of a power grows quickly with its exponent, and (E+F)^32
+in the enveloping context already takes about 2 seconds.  Deeper nesting
+or a larger exponent is an ExprError, like any other malformed
+expression.  Printing emits one term per canonical key, so
+parse(print(x)) recovers x exactly, and print(parse(s)) canonicalizes s.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from . import symext
 
 CONTEXTS = ("symmetric", "enveloping", "clifford", "tensor")
 MAX_NESTING = 100
+MAX_EXPONENT = 32
 
 
 class ExprError(ValueError):
@@ -222,8 +225,13 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind != "number" or val.denominator != 1:
                 self.fail("expected an integer exponent")
+            exponent = val.numerator
+            if exponent > MAX_EXPONENT:
+                self.fail(
+                    "exponent %d exceeds the cap of %d" % (exponent, MAX_EXPONENT)
+                )
             self.advance()
-            value = value ** val.numerator
+            value = value ** exponent
         return value
 
     def atom(self, ext_mode):

@@ -12,7 +12,11 @@ ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
 E-letters, exterior F-letters), so the kernel computation decomposes into
 independent blocks over that signature; this is what keeps the degree-8
-slice (tens of thousands of monomials) tractable.  The blocked kernel is
+slice (tens of thousands of monomials) tractable.  Each block kernel comes
+out of ``linalg.kernel_of_rows`` in reduced echelon form, and the blocks
+occupy disjoint columns numbered in slice order, so sorting the kernel
+vectors by their smallest column yields the reduced echelon basis of the
+whole kernel with no global reduction.  The blocked kernel is
 cross-checked against an unblocked joint-kernel computation in the tests.
 """
 
@@ -176,11 +180,14 @@ def _ad_e_kernel(n: int) -> tuple:
         for vec in linalg.kernel_of_rows(rows, len(block)):
             kernel_vectors.append({col_of[block[c]]: v for c, v in vec.items()})
 
-    reduced = linalg.rref_rows(kernel_vectors)
-    out = []
-    for lead in sorted(reduced):
-        out.append(SymTensorElement({src[c]: v for c, v in reduced[lead].items()}))
-    return tuple(out)
+    # Each block kernel is in reduced echelon form and the blocks have
+    # disjoint columns numbered in slice order, so the union is the reduced
+    # echelon form of the whole kernel once it is put in lead order.
+    kernel_vectors.sort(key=min)
+    return tuple(
+        SymTensorElement({src[c]: v for c, v in vec.items()})
+        for vec in kernel_vectors
+    )
 
 
 @lru_cache(maxsize=None)

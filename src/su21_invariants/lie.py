@@ -11,7 +11,8 @@ E1, E2, F1, F2 spanning p, the -1 eigenspace of the Cartan involution.
 
 Structure constants and the trace form B(x, y) = tr(xy) are generated at
 import time from the defining 3x3 matrices and then frozen; downstream
-modules consume only the tables.
+modules consume only the tables.  Table entries follow the coefficient
+policy of ``linalg.exact``: an ``int`` when integral, else a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import SparseElement, add_terms
+from .linalg import SparseElement, add_terms, exact
 
 H1, H2, E, F, E1, E2, F1, F2 = range(8)
 BASIS_NAMES = ("H1", "H2", "E", "F", "E1", "E2", "F1", "F2")
@@ -133,7 +134,7 @@ def _build_tables():
         for j in range(DIM):
             mi, mj = BASIS_MATRICES[i], BASIS_MATRICES[j]
             brow.append(from_matrix(mat_sub(mat_mul(mi, mj), mat_mul(mj, mi))))
-            frow.append(mat_trace(mat_mul(mi, mj)))
+            frow.append(exact(mat_trace(mat_mul(mi, mj))))
         brackets.append(tuple(brow))
         form.append(tuple(frow))
     return tuple(brackets), tuple(form)
@@ -155,12 +156,13 @@ def bracket(x: GVector, y: GVector) -> GVector:
     return GVector(out)
 
 
-def trace_form(x: GVector, y: GVector) -> Fraction:
-    total = Fraction(0)
+def trace_form(x: GVector, y: GVector):
+    """B(x, y), an int when integral, else a Fraction."""
+    total = 0
     for i, a in x.coeffs.items():
         for j, b in y.coeffs.items():
             total += a * b * FORM_TABLE[i][j]
-    return total
+    return exact(total)
 
 
 def cartan_involution(x: GVector) -> GVector:

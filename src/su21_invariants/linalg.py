@@ -6,13 +6,22 @@ absent; values are exact: an ``int`` whenever the value is integral, a
 fraction-free: rows are rescaled to primitive integer vectors (an all-int
 row needs no ``Fraction`` at all) and combined by integer
 cross-multiplication, with the content divided out after every
-combination, so the inner loop never performs rational division and
-coefficient growth stays tame.  Only the final normalization of the
-reduced echelon form divides, and its entries are ``Fraction``s.
+combination, so the elimination loop never performs rational division
+and coefficient growth stays tame.  Division happens only where a result
+leaves the integers: the normalization of ``rref_rows`` to unit pivots,
+and the kernel entries of ``kernel_of_rows``.
 
-The reduced echelon form depends only on the column order, never on the
-order the rows arrive in, so every rank, kernel and solution produced
-here is canonical for a fixed column order.
+Ranks, membership tests and ``rref_rows`` eliminate on the smallest
+column of each row.  ``kernel_of_rows`` eliminates on the largest column
+instead and back-substitutes in increasing pivot order; each kernel
+vector then has its smallest column at its own free column, with value 1,
+and no other kernel vector touches that column, so the kernel comes out
+in reduced echelon form for the original column order without a second
+reduction.
+
+Reduced echelon forms depend only on the column order, never on the order
+the rows arrive in, so every rank, kernel and solution produced here is
+canonical for a fixed column order.
 
 ``SparseElement`` is the same ``{key: value}`` representation seen as an
 element of an algebra.  It carries the linear structure (normalization,
@@ -93,18 +102,22 @@ def _combine(row: dict, piv: dict, lead) -> dict:
     return _strip_content(new)
 
 
-def echelon_rows(rows) -> dict:
-    """Forward elimination; returns {pivot column: primitive integer row}."""
+def echelon_rows(rows, lead=min) -> dict:
+    """Forward elimination; returns {pivot column: primitive integer row}.
+
+    ``lead`` picks the column a row is eliminated on: ``min`` leaves every
+    pivot row zero left of its pivot, ``max`` zero right of it.
+    """
     pivots = {}
     for row in rows:
         row = _primitive(row)
         while row:
-            lead = min(row)
-            piv = pivots.get(lead)
+            col = lead(row)
+            piv = pivots.get(col)
             if piv is None:
-                pivots[lead] = row
+                pivots[col] = row
                 break
-            row = _combine(row, piv, lead)
+            row = _combine(row, piv, col)
     return pivots
 
 
@@ -143,19 +156,28 @@ def rref_rows(rows) -> dict:
 
 
 def kernel_of_rows(rows, ncols: int) -> list:
-    """Basis of {x : A x = 0}, one vector per free column, echelon-normalized."""
-    red = rref_rows(rows)
-    basis = []
-    for f in range(ncols):
-        if f in red:
-            continue
-        vec = {f: Fraction(1)}
-        for pc, row in red.items():
-            v = row.get(f)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    """Basis of {x : A x = 0} in reduced echelon form, in lead order.
+
+    One vector per free column f: 1 at f, and -row[f]/row[pc] at each
+    pivot column pc > f whose reduced row meets f.
+    """
+    pivots = echelon_rows(rows, lead=max)
+    # A max-lead pivot row lives on columns <= its pivot, so reducing in
+    # increasing pivot order leaves each row on its pivot and free columns
+    # below it, using only rows that are already reduced.
+    reduced = {}
+    for pc in sorted(pivots):
+        row = pivots[pc]
+        for c in [c for c in row if c in reduced]:
+            row = _combine(row, reduced[c], c)
+        reduced[pc] = row
+    basis = {f: {f: 1} for f in range(ncols) if f not in reduced}
+    for pc, row in reduced.items():
+        a = row[pc]
+        for f, v in row.items():
+            if f != pc:
+                basis[f][pc] = exact(Fraction(-v, a))
+    return list(basis.values())
 
 
 def solve_rows(rows, rhs, ncols: int):

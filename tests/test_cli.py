@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from su21_invariants import cli, suites
+from su21_invariants import cli, expr, suites
 from su21_invariants.report import CheckResult, VerificationReport
 
 
@@ -112,6 +112,14 @@ def test_nesting_depth_is_capped(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_exponent_is_capped(capsys):
+    assert cli.main(["eval", "--context", "symmetric", "E^100000"]) == 2
+    assert "exceeds the cap of %d" % expr.MAX_EXPONENT in capsys.readouterr().err
+    over = "(E+F)^%d" % (expr.MAX_EXPONENT + 1)
+    assert cli.main(["mul", "--context", "enveloping", "E", over]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"
@@ -136,6 +144,19 @@ def test_all_rejects_slice_bound_before_any_suite(monkeypatch):
     monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
     with pytest.raises(ValueError, match="slice bound is capped at 4"):
         suites.run_suite("all", max_filtration=5)
+
+
+def test_max_degree_is_capped_before_any_suite(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the degree was checked")
+
+    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
+    monkeypatch.setattr(suites.invariants, "verify_product_basis", must_not_run)
+    over = str(suites.MAX_DEGREE + 1)
+    for suite in ("table", "st-basis", "all"):
+        assert cli.main(["verify", suite, "--max-degree", over]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capped at %d" % suites.MAX_DEGREE in err
 
 
 def test_run_suite_unknown_name():

@@ -6,6 +6,7 @@ weight-zero kernel reduction is cross-checked against the unblocked
 joint kernel of all four k-generators acting on the full degree slice.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -69,9 +70,31 @@ def _unblocked_joint_kernel_dim(n):
     return len(linalg.kernel_of_rows(rows, len(keys)))
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_invariant_subspace_matches_unblocked_kernel(n):
     assert len(inv.invariant_subspace(n)) == _unblocked_joint_kernel_dim(n)
+
+
+# sha256 of repr([sorted(x.coeffs.items()) for x in invariant_subspace(n)]):
+# any change of basis, order, scaling or coefficient type changes it.
+BASIS_DIGESTS = (
+    "fbca7fbec51d7b17f3b81afaa69ad97826fc4377cbd56c77421d5b5fa5344681",
+    "d0558b7948910a5d2f07a997e8f9e6348d49c8d807ae962f2a2a7e3f2fdea1f0",
+    "9975278e63ff0beee6b60cce8d098ec16e7596c9f3d11ab35b97e4626b193aea",
+    "c29b5f7d8de3869e23d9e8ba25ae81b19376ae087aae02ff2a2a4e44ae5e7911",
+    "099efda0a967bc5159061f131fcb70e37a8c780bc6191492e39d1ea5300b19fe",
+    "6f016a056ab4cad12d10828e9375c091d8e155d0b1cdca850fc4d9d75070c4b5",
+    "5fbc6dd6b549cf3cab92d1a4c0a6e3d86534ab12d8dbda7cffca1750416c12a9",
+    "3794a93bd50263efa3592d6d4641139383b890291b63f032c94061ccefc6e594",
+    "08e1289350cb03f19ca2c2ed8423f6926b9b82bee58717f964e4a5f607b02b86",
+)
+
+
+@pytest.mark.parametrize("n", range(len(BASIS_DIGESTS)))
+def test_invariant_subspace_bases_are_pinned(n):
+    basis = inv.invariant_subspace(n)
+    payload = repr([sorted(x.coeffs.items()) for x in basis]).encode()
+    assert hashlib.sha256(payload).hexdigest() == BASIS_DIGESTS[n]
 
 
 def test_low_degree_invariants():
@@ -260,6 +283,11 @@ def test_coefficients_stay_exact():
         _assert_exact(x)
         assert all(type(v) is int for v in x.coeffs.values())
     _assert_exact(enveloping.casimir_omega())
+    for row in lie.FORM_TABLE:
+        for v in row:
+            assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
+    assert type(lie.FORM_TABLE[lie.E1][lie.F1]) is int
+    assert type(lie.trace_form(lie.H_VEC, lie.H_VEC)) is int
     assert all(type(v) is Fraction for v in (Fraction(1, 2) * D).coeffs.values())
     a = symext.named_invariants().a
     half = Fraction(1, 2) * a

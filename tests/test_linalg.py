@@ -33,25 +33,47 @@ def test_kernel_annihilates():
         assert _apply(rows, vec) == {}
 
 
+def _random_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in range(ncols):
+            if rng.random() < 0.6:
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if v:
+                    row[c] = v
+        rows.append(row)
+    return rows
+
+
 def test_rank_plus_nullity_random():
     rng = random.Random(7)
     for _ in range(60):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
-        rows = []
-        for _ in range(nrows):
-            row = {}
-            for c in range(ncols):
-                if rng.random() < 0.6:
-                    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    if v:
-                        row[c] = v
-            rows.append(row)
+        rows = _random_rows(rng, nrows, ncols)
         rank = linalg.rank_of_rows(rows)
         kern = linalg.kernel_of_rows(rows, ncols)
         assert rank + len(kern) == ncols
         for vec in kern:
             assert _apply(rows, vec) == {}
+
+
+def test_kernel_is_its_own_reduced_echelon_form():
+    rng = random.Random(23)
+    for _ in range(80):
+        ncols = rng.randint(1, 9)
+        rows = _random_rows(rng, rng.randint(1, 7), ncols)
+        kern = linalg.kernel_of_rows(rows, ncols)
+        leads = [min(vec) for vec in kern]
+        assert leads == sorted(set(leads))
+        for vec, lead in zip(kern, leads):
+            assert vec[lead] == 1
+            assert all(lead not in other for other in kern if other is not vec)
+            assert all(type(v) in (int, Fraction) for v in vec.values())
+            assert _apply(rows, vec) == {}
+        red = linalg.rref_rows(kern)
+        assert kern == [red[lead] for lead in sorted(red)]
 
 
 def test_rank_is_column_order_independent():
