@@ -4,7 +4,10 @@ An element pairs a PBW monomial with a Clifford blade; the two tensor legs
 commute with each other, so multiplication is componentwise.  This module
 builds the distinguished K-invariant elements -- the lifts of the
 commutative generators a..j, the Dirac operator D and its k-analogue --
-and runs the exact identity suites tying them together:
+and runs the exact identity suites tying them together.  The lifts are
+the formulas of ``symext.InvariantGenerators.from_letters`` with the
+letters of g taken in U(sl3) and those of p in C(p), multiplied in the
+order written.  The suites check:
 
   * the ten symmetrization/Chevalley transfer identities,
   * the six identities reducing the generating set to five elements,
@@ -212,31 +215,11 @@ def rho_k_norm_sq() -> Fraction:
 
 @lru_cache(maxsize=None)
 def lifted_generators() -> symext.InvariantGenerators:
-    """Lifts of the ten commutative invariants to U(sl3) (x) C(p)."""
-    uh = env.from_gvector(lie.H_VEC)
-    ue, uf = env.u_gen(lie.E), env.u_gen(lie.F)
-    ue1, ue2 = env.u_gen(lie.E1), env.u_gen(lie.E2)
-    uf1, uf2 = env.u_gen(lie.F1), env.u_gen(lie.F2)
-    ce1, ce2 = cl.c_gen(lie.E1), cl.c_gen(lie.E2)
-    cf1, cf2 = cl.c_gen(lie.F1), cl.c_gen(lie.F2)
-
-    a, b, c, d = (embed_u(x) for x in env._polynomial_generators())
-    e = embed_u(uf1) * embed_c(ce1) + embed_u(uf2) * embed_c(ce2)
-    f = embed_u(ue1) * embed_c(cf1) + embed_u(ue2) * embed_c(cf2)
-    g = embed_c(ce1 * cf1 + ce2 * cf2)
-    h = embed_u(2 * (ue * ue2) + uh * ue1) * embed_c(cf1) + embed_u(
-        -(uh * ue2) + 2 * (uf * ue1)
-    ) * embed_c(cf2)
-    i = (
-        2 * (embed_u(ue) * embed_c(ce2 * cf1))
-        + embed_u(uh) * embed_c(ce1 * cf1)
-        - embed_u(uh) * embed_c(ce2 * cf2)
-        + 2 * (embed_u(uf) * embed_c(ce1 * cf2))
+    """Lifts of the ten commutative invariants to U(sl3) (x) C(p): the same
+    formulas, with the g-letters in U(sl3) and the p-letters in C(p)."""
+    return symext.InvariantGenerators.from_letters(
+        lambda i: embed_u(env.u_gen(i)), lambda i: embed_c(cl.c_gen(i))
     )
-    j = embed_u(uh * uf1 + 2 * (uf * uf2)) * embed_c(ce1) + embed_u(
-        2 * (ue * uf1) - uh * uf2
-    ) * embed_c(ce2)
-    return symext.InvariantGenerators(a, b, c, d, e, f, g, h, i, j)
 
 
 def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:

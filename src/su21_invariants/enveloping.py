@@ -20,6 +20,9 @@ the value is integral, a ``Fraction`` otherwise.  The structure constants
 are integers and the insertion cache starts from the integer 1, so
 products of integral elements never touch ``Fraction``; one enters only
 with the 1/deg m of symmetrization or a rational scalar.
+
+The Casimir element comes from dual bases of the trace form, the cubic
+central element from a, b, c, d in U(g) (``symext.polynomial_invariants``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import lie
+from . import lie, symext
 from .lie import GVector
 from .linalg import SparseElement, add_terms
 
@@ -164,28 +167,9 @@ def casimir_omega() -> UElement:
 
 
 @lru_cache(maxsize=None)
-def _polynomial_generators() -> tuple:
-    """U-side counterparts of the four polynomial invariants a, b, c, d."""
-    uh = from_gvector(lie.H_VEC)
-    ue, uf = u_gen(lie.E), u_gen(lie.F)
-    ue1, ue2 = u_gen(lie.E1), u_gen(lie.E2)
-    uf1, uf2 = u_gen(lie.F1), u_gen(lie.F2)
-    ua = from_gvector(lie.A_VEC)
-    ub = uh * uh + 2 * (ue * uf + uf * ue)
-    uc = ue1 * uf1 + ue2 * uf2
-    ud = (
-        2 * (ue * ue2 * uf1)
-        + uh * ue1 * uf1
-        - uh * ue2 * uf2
-        + 2 * (uf * ue1 * uf2)
-    )
-    return ua, ub, uc, ud
-
-
-@lru_cache(maxsize=None)
 def cubic_element() -> UElement:
     """The degree-three central element, expressed through a, b, c, d lifts."""
-    ua, ub, uc, ud = _polynomial_generators()
+    ua, ub, uc, ud = symext.polynomial_invariants(u_gen)
     return (
         Fraction(-3, 2) * ua ** 3
         + Fraction(3, 2) * (ua * ub)

@@ -123,26 +123,14 @@ def tokenize(text: str) -> list:
     return out
 
 
-def _sym_tables():
-    table = {name: symext.sym_gen(i) for i, name in enumerate(lie.BASIS_NAMES)}
-    table["H"] = symext.from_gvector(lie.H_VEC)
-    table["a"] = symext.from_gvector(lie.A_VEC)
+def _symbols(gen, indices=range(lie.DIM)) -> dict:
+    """Symbol table of a letter constructor over the given basis indices;
+    H and a join it when the Cartan letters are there."""
+    table = {lie.BASIS_NAMES[i]: gen(i) for i in indices}
+    if lie.H1 in indices:
+        table["H"] = table["H1"] - table["H2"]
+        table["a"] = table["H1"] + table["H2"]
     return table
-
-
-def _ext_table():
-    return {lie.BASIS_NAMES[i]: symext.ext_gen(i) for i in lie.P_INDICES}
-
-
-def _u_table():
-    table = {name: env.u_gen(i) for i, name in enumerate(lie.BASIS_NAMES)}
-    table["H"] = env.from_gvector(lie.H_VEC)
-    table["a"] = env.from_gvector(lie.A_VEC)
-    return table
-
-
-def _c_table():
-    return {lie.BASIS_NAMES[i]: cl.c_gen(i) for i in lie.P_INDICES}
 
 
 class _Parser:
@@ -264,14 +252,15 @@ def parse_element(text: str, context: str):
     if context not in CONTEXTS:
         raise ValueError("unknown context %r" % context)
     tokens = tokenize(text)
-    if context == "symmetric":
-        parser = _Parser(tokens, _sym_tables(), {}, symext.scalar, False)
-    elif context == "tensor":
-        parser = _Parser(tokens, _sym_tables(), _ext_table(), symext.scalar, True)
+    if context in ("symmetric", "tensor"):
+        tensor = context == "tensor"
+        ext = _symbols(symext.ext_gen, lie.P_INDICES) if tensor else {}
+        parser = _Parser(tokens, _symbols(symext.sym_gen), ext, symext.scalar, tensor)
     elif context == "enveloping":
-        parser = _Parser(tokens, _u_table(), {}, env.u_scalar, False)
+        parser = _Parser(tokens, _symbols(env.u_gen), {}, env.u_scalar, False)
     else:
-        parser = _Parser(tokens, _c_table(), {}, cl.c_scalar, False)
+        letters = _symbols(cl.c_gen, lie.P_INDICES)
+        parser = _Parser(tokens, letters, {}, cl.c_scalar, False)
     return parser.parse()
 
 

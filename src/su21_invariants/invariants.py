@@ -23,6 +23,7 @@ cross-checked against an unblocked joint-kernel computation in the tests.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from . import dirac, lie, linalg, symext
 from .report import CheckResult, VerificationReport
@@ -243,15 +244,6 @@ def verify_table(max_degree: int = 8) -> VerificationReport:
     return VerificationReport("table", {"max_degree": max_degree}, checks)
 
 
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _lowering_span(highest: SymTensorElement, steps: int) -> list:
     """highest together with its iterated images under ad(F)."""
     f_vec = lie.gvec(lie.F)
@@ -306,7 +298,7 @@ def verify_sym_k_decomposition(n: int) -> VerificationReport:
 
     full = _sym_power_family((h, e, f), n)
     dim_full = rank_of_elements(full)
-    want_full = _binomial(n + 2, 2)
+    want_full = comb(n + 2, 2)
 
     top = e ** n
     ad_e_kills = symext.ad_action(lie.gvec(lie.E), top).is_zero()
@@ -324,10 +316,10 @@ def verify_sym_k_decomposition(n: int) -> VerificationReport:
     checks = [
         CheckResult(
             "sym-k-%d-dims" % n,
-            "dims %d + %d = %d in degree %d" % (2 * n + 1, _binomial(n, 2), want_full, n),
+            "dims %d + %d = %d in degree %d" % (2 * n + 1, comb(n, 2), want_full, n),
             dim_full == want_full
             and dim_string == 2 * n + 1
-            and dim_lower == _binomial(n, 2),
+            and dim_lower == comb(n, 2),
             "got %d, %d, %d" % (dim_full, dim_string, dim_lower),
         ),
         CheckResult(
@@ -355,7 +347,7 @@ def verify_sym_p_decomposition(n: int) -> VerificationReport:
 
     full = _sym_power_family(gens, n)
     dim_full = rank_of_elements(full)
-    want_full = _binomial(n + 3, 3)
+    want_full = comb(n + 3, 3)
 
     hw_ok = True
     strings = []
@@ -377,10 +369,10 @@ def verify_sym_p_decomposition(n: int) -> VerificationReport:
         CheckResult(
             "sym-p-%d-dims" % n,
             "dims %d + %d = %d in degree %d"
-            % ((n + 1) ** 2, _binomial(n + 1, 3), want_full, n),
+            % ((n + 1) ** 2, comb(n + 1, 3), want_full, n),
             dim_full == want_full
             and dim_strings == (n + 1) ** 2
-            and dim_lower == _binomial(n + 1, 3),
+            and dim_lower == comb(n + 1, 3),
             "got %d, %d, %d" % (dim_full, dim_strings, dim_lower),
         ),
         CheckResult(
@@ -459,21 +451,9 @@ def verify_ext_decomposition() -> VerificationReport:
 @lru_cache(maxsize=None)
 def product_basis_members(n: int) -> tuple:
     """Degree-n members of the product family: monomials in a, b, c, d
-    times one of the sixteen module generators."""
-    gens = symext.named_invariants()
-    t_list = gens.t_products()
-    out = []
-    for tname, t in t_list:
-        rem = n - symext.T_DEGREES[tname]
-        if rem < 0:
-            continue
-        for n4 in range(rem // 3 + 1):
-            for n3 in range((rem - 3 * n4) // 2 + 1):
-                for n2 in range((rem - 3 * n4 - 2 * n3) // 2 + 1):
-                    n1 = rem - 3 * n4 - 2 * n3 - 2 * n2
-                    label = "a^%d b^%d c^%d d^%d * %s" % (n1, n2, n3, n4, tname)
-                    out.append((label, gens.s_monomial(n1, n2, n3, n4) * t))
-    return tuple(out)
+    times one of the sixteen module generators, as (label, element)."""
+    family = symext.named_invariants().product_family(n, n)
+    return tuple((label, x) for label, x, _ in family)
 
 
 def verify_product_basis(max_degree: int = 8) -> VerificationReport:
@@ -507,26 +487,10 @@ def verify_product_basis(max_degree: int = 8) -> VerificationReport:
 
 @lru_cache(maxsize=None)
 def lifted_product_members(max_degree: int) -> tuple:
-    """Lifted products of total degree up to the bound, with their degrees."""
-    lift = dirac.lifted_generators()
-    t_list = lift.t_products()
-    out = []
-    for tname, t in t_list:
-        tdeg = symext.T_DEGREES[tname]
-        rem_max = max_degree - tdeg
-        if rem_max < 0:
-            continue
-        for n4 in range(rem_max // 3 + 1):
-            for n3 in range((rem_max - 3 * n4) // 2 + 1):
-                for n2 in range((rem_max - 3 * n4 - 2 * n3) // 2 + 1):
-                    for n1 in range(rem_max - 3 * n4 - 2 * n3 - 2 * n2 + 1):
-                        deg = tdeg + n1 + 2 * n2 + 2 * n3 + 3 * n4
-                        label = "a~^%d b~^%d c~^%d d~^%d * %s~" % (
-                            n1, n2, n3, n4, tname,
-                        )
-                        out.append((label, lift.s_monomial(n1, n2, n3, n4) * t, deg))
-    out.sort(key=lambda item: (item[2], item[0]))
-    return tuple(out)
+    """Lifted products of total degree up to the bound, as (label, element,
+    degree), by degree and then label."""
+    family = dirac.lifted_generators().product_family(0, max_degree, "~")
+    return tuple(sorted(family, key=lambda item: (item[2], item[0])))
 
 
 def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:

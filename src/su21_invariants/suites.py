@@ -11,6 +11,10 @@ DEFAULT_MAX_DEGREE = 8
 # degree about 1.6 times as long as the one before.
 MAX_DEGREE = 16
 DEFAULT_MAX_FILTRATION = 4
+# The largest --max-filtration accepted.  On the same machine `verify
+# uc-basis --max-filtration 14` takes about 45 s and 440 MB peak RSS, and
+# each step of 2 about six times as long as the one before.
+MAX_FILTRATION = 14
 DEFAULT_IDEAL_BOUND = 3
 
 # The twelve bracket relations of the Cartan generators against the rest.
@@ -182,6 +186,8 @@ def run_suite(name: str, max_degree=None, max_filtration=None) -> VerificationRe
         raise ValueError("max_filtration must be nonnegative")
     if max_degree is not None and max_degree > MAX_DEGREE:
         raise ValueError("max_degree is capped at %d" % MAX_DEGREE)
+    if max_filtration is not None and max_filtration > MAX_FILTRATION:
+        raise ValueError("max_filtration is capped at %d" % MAX_FILTRATION)
     max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     if name == "all":
         if max_filtration is not None:

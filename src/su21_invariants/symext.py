@@ -8,11 +8,17 @@ plus exterior degree.  The adjoint action of k extends the bracket as a
 derivation on both tensor legs.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
-is integral, a ``Fraction`` otherwise, never a float.  Every weight, structure constant
-and coefficient of the invariants a..j is an integer, so products and the
-k-action stay in integer arithmetic; a ``Fraction`` enters only with a
-real division, such as an echelon-normalized kernel vector or a scalar
-like 1/2.
+is integral, a ``Fraction`` otherwise, never a float.  Every weight,
+structure constant and coefficient of the invariants a..j is an integer,
+so products and the k-action stay in integer arithmetic; a ``Fraction``
+enters only with a real division, such as an echelon-normalized kernel
+vector or a scalar like 1/2.
+
+The invariants a..j are written once, for both algebras, in two letter
+constructors (``InvariantGenerators.from_letters``): ``sym_gen`` and
+``ext_gen`` give them here, the letters of U(g) (x) C(p) give their lifts
+(``dirac.lifted_generators``).  The bundle also enumerates the product
+family a^n1 b^n2 c^n3 d^n4 * t over the sixteen module generators t.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .lie import E, E1, E2, F, F1, F2, GVector, Weight
 from .linalg import SparseElement, add_terms
 
 ZERO_EXPS = (0,) * 8
-EXT_NAMES = ("E1", "E2", "F1", "F2")
 
 
 def ext_bit(index: int) -> int:
@@ -182,18 +187,33 @@ def weight_component(x: SymTensorElement, w) -> SymTensorElement:
     )
 
 
-# Order and total degrees of the sixteen products that complement the
-# polynomial generators a, b, c, d.
+# The sixteen products that complement the polynomial generators a, b, c, d.
 T_ORDER = (
     "1", "e", "f", "g", "h", "i", "j",
     "ef", "eg", "fg", "g^2", "ei", "ej", "fh", "fi", "fj",
 )
-T_DEGREES = {
-    "1": 0, "e": 2, "f": 2, "g": 2, "h": 3, "i": 3, "j": 3,
-    "ef": 4, "eg": 4, "fg": 4, "g^2": 4,
-    "ei": 5, "ej": 5, "fh": 5, "fi": 5, "fj": 5,
-}
-S_DEGREES = (1, 2, 2, 3)  # degrees of a, b, c, d
+
+
+def _letters(sym) -> tuple:
+    """H = H1 - H2, E, F, E1, E2, F1, F2 in the letter constructor sym."""
+    return (sym(lie.H1) - sym(lie.H2),) + tuple(map(sym, (E, F, E1, E2, F1, F2)))
+
+
+def polynomial_invariants(sym) -> tuple:
+    """The invariants a, b, c, d written in the letter constructor sym.
+
+    sym(i) is the basis letter i of g in the left tensor leg: ``sym_gen``
+    in S(g) (x) Lambda(p), ``enveloping.u_gen`` in U(g), or its image in
+    U(g) (x) C(p).  Products are taken in the order written, which fixes
+    the lifts in U(g); b is written symmetrized, H H + 2 (E F + F E).
+    """
+    sh, se, sf, se1, se2, sf1, sf2 = _letters(sym)
+    return (
+        sym(lie.H1) + sym(lie.H2),
+        sh * sh + 2 * (se * sf + sf * se),
+        se1 * sf1 + se2 * sf2,
+        2 * (se * se2 * sf1) + sh * se1 * sf1 - sh * se2 * sf2 + 2 * (sf * se1 * sf2),
+    )
 
 
 @dataclass
@@ -212,51 +232,58 @@ class InvariantGenerators:
     i: SparseElement
     j: SparseElement
 
+    @classmethod
+    def from_letters(cls, sym, ext) -> "InvariantGenerators":
+        """a..j written in two letter constructors: sym(i), the letter of g
+        in the left leg (see ``polynomial_invariants``), and ext(i), the
+        letter of p in the right leg; products keep the order written."""
+        sh, se, sf, se1, se2, sf1, sf2 = _letters(sym)
+        we1, we2, wf1, wf2 = map(ext, (E1, E2, F1, F2))
+        return cls(
+            *polynomial_invariants(sym),
+            e=sf1 * we1 + sf2 * we2,
+            f=se1 * wf1 + se2 * wf2,
+            g=we1 * wf1 + we2 * wf2,
+            h=(2 * (se * se2) + sh * se1) * wf1 + (-(sh * se2) + 2 * (sf * se1)) * wf2,
+            i=(
+                2 * (se * (we2 * wf1)) + sh * (we1 * wf1) - sh * (we2 * wf2)
+                + 2 * (sf * (we1 * wf2))
+            ),
+            j=(sh * sf1 + 2 * (sf * sf2)) * we1 + (2 * (se * sf1) - sh * sf2) * we2,
+        )
+
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def t_products(self):
-        """The sixteen module generators over C[a,b,c,d], in fixed order."""
-        by_name = self.as_dict()
-        out = []
-        for name in T_ORDER:
-            if name == "1":
-                out.append((name, self.a.scalar(1)))
-            elif name == "g^2":
-                out.append((name, self.g * self.g))
-            elif len(name) == 1:
-                out.append((name, by_name[name]))
-            else:
-                out.append((name, by_name[name[0]] * by_name[name[1]]))
-        return out
+        """The sixteen module generators over C[a,b,c,d], in fixed order;
+        a two-letter name is the product of its letters."""
+        x = self.as_dict()
+        x["1"], x["g^2"] = self.a.scalar(1), self.g * self.g
+        return [(n, x[n] if n in x else x[n[0]] * x[n[1]]) for n in T_ORDER]
 
     def s_monomial(self, n1: int, n2: int, n3: int, n4: int):
         return self.a ** n1 * self.b ** n2 * self.c ** n3 * self.d ** n4
 
+    def product_family(self, low: int, high: int, mark: str = ""):
+        """The members a^n1 b^n2 c^n3 d^n4 * t of total degree low..high, as
+        (label, element, degree): t in the order of ``t_products``, then
+        n4, n3, n2, n1 increasing; mark follows each letter of the label."""
+        template = "a~^%d b~^%d c~^%d d~^%d * %s~".replace("~", mark)
+        out = []
+        for tname, t in self.t_products():
+            rem = high - t.degree()
+            for n4 in range(rem // 3 + 1):
+                for n3 in range((rem - 3 * n4) // 2 + 1):
+                    for n2 in range((rem - 3 * n4 - 2 * n3) // 2 + 1):
+                        top = rem - 3 * n4 - 2 * n3 - 2 * n2
+                        for n1 in range(max(0, top - (high - low)), top + 1):
+                            x = self.s_monomial(n1, n2, n3, n4) * t
+                            label = template % (n1, n2, n3, n4, tname)
+                            out.append((label, x, high - top + n1))
+        return out
+
 
 @lru_cache(maxsize=None)
 def named_invariants() -> InvariantGenerators:
-    h = from_gvector(lie.H_VEC)
-    ea = from_gvector(lie.A_VEC)
-    se, sf = sym_gen(E), sym_gen(F)
-    se1, se2 = sym_gen(E1), sym_gen(E2)
-    sf1, sf2 = sym_gen(F1), sym_gen(F2)
-    we1, we2 = ext_gen(E1), ext_gen(E2)
-    wf1, wf2 = ext_gen(F1), ext_gen(F2)
-
-    a = ea
-    b = h * h + 4 * (se * sf)
-    c = se1 * sf1 + se2 * sf2
-    d = 2 * (se * se2 * sf1) + h * se1 * sf1 - h * se2 * sf2 + 2 * (sf * se1 * sf2)
-    e = sf1 * we1 + sf2 * we2
-    f = se1 * wf1 + se2 * wf2
-    g = we1 * wf1 + we2 * wf2
-    h_inv = (2 * (se * se2) + h * se1) * wf1 + (-(h * se2) + 2 * (sf * se1)) * wf2
-    i_inv = (
-        2 * (se * (we2 * wf1))
-        + h * (we1 * wf1)
-        - h * (we2 * wf2)
-        + 2 * (sf * (we1 * wf2))
-    )
-    j_inv = (h * sf1 + 2 * (sf * sf2)) * we1 + (2 * (se * sf1) - h * sf2) * we2
-    return InvariantGenerators(a, b, c, d, e, f, g, h_inv, i_inv, j_inv)
+    return InvariantGenerators.from_letters(sym_gen, ext_gen)

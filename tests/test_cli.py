@@ -159,6 +159,21 @@ def test_max_degree_is_capped_before_any_suite(monkeypatch, capsys):
         assert err.startswith("error: ") and "capped at %d" % suites.MAX_DEGREE in err
 
 
+def test_max_filtration_is_capped_before_any_suite(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the filtration was checked")
+
+    monkeypatch.setattr(suites.invariants, "verify_lifted_basis_slice", must_not_run)
+    monkeypatch.setattr(suites.invariants, "verify_ideal_slice", must_not_run)
+    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
+    over = str(suites.MAX_FILTRATION + 1)
+    for suite in ("uc-basis", "ideal-slice", "all"):
+        assert cli.main(["verify", suite, "--max-filtration", over]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "capped at %d" % suites.MAX_FILTRATION in err
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         suites.run_suite("nope")

@@ -8,6 +8,7 @@ joint kernel of all four k-generators acting on the full degree slice.
 
 import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -97,6 +98,64 @@ def test_invariant_subspace_bases_are_pinned(n):
     assert hashlib.sha256(payload).hexdigest() == BASIS_DIGESTS[n]
 
 
+def _digest(payload):
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _terms(x):
+    return sorted(x.coeffs.items())
+
+
+# sha256 of repr(sorted(x.coeffs.items())) of the ten invariants, taken when
+# each algebra still had its own hand-typed copy of their formulas.
+NAMED_DIGESTS = {
+    "a": "2dffb05df36295af4ba2e5dcfa907725b6d6a36bd8e81c2fe49d79c91171b1af",
+    "b": "87abef7e9c57f56c9ed92e61feef56e7241c115f60433febbbabe05981ce50a8",
+    "c": "9414d405c471aca9dc298082f47b579d31b6d1bbdfde7d85b25be4c07a731a49",
+    "d": "a64794224033b8f5cc2aa75a3c555e2fbd5bcd1c71ee00b82f1491c1a5589bc6",
+    "e": "dadd147a19d12fea30985af4adfcdcea66ffe2e43827f5639de7c2bf22955bb4",
+    "f": "f69d6f12c369f3c77eba39028c46ecb10dfeb43e72bdf02fa425cf21d5a0389d",
+    "g": "f1f99860e2bc5d67c904a67709d60e6bbbfd385e90b1d76b94866f4e4b017b8b",
+    "h": "77aa8ee924bde501585b26af8ad7560e25762c592744ea19f8fcc71aa162e5fe",
+    "i": "44d238c6ad96e8bc5e7100624ee3e0fd9813d36527fe6d94419ce1c43f6cb8d7",
+    "j": "458d6ba927f1211f7c70ff399737154ca1bc47475f2ad2e47faf9951d33c31c9",
+}
+# Every lift but b~ is written in PBW and blade order, so it has the keys
+# and coefficients of its commutative original; b~ = H^2 + 2(EF + FE) does not.
+LIFTED_DIGESTS = dict(
+    NAMED_DIGESTS, b="f6e08fe8573560d25118200d7a903913515a42ca8c9f161ff38e6df99f35430a"
+)
+CUBIC_DIGEST = "61434086ef49a0a52a7c52a02e32e136a562a906d85dca318e9b3453c004a169"
+# product_basis_members(n) for n = 0..6, labels included.
+PRODUCT_DIGESTS = (
+    "8c5f6fb80463e82d2ec4da3e4dce581bec0d57998fdc812348b143ca49aec1e7",
+    "e8f24844697eecf0c068ad6099ccb658478c789ff06958620cc02e934b9ba2e5",
+    "a18564a2d2e23c10eed4c3f2508857c740a1ca1158c2dcb0feadb1d3b0e66923",
+    "afdfac67073fdf843bedbc0fe45544b48c4911fa9dd9d42369dc90b77dcb8a2b",
+    "262715b0674b6efac2524d553020ce165029a997844679784ac5bfb45eb45096",
+    "308e0e78c80fc3c712de8c82ac52f784e3ae263752d1fd001ee7c250dc0f1f0e",
+    "bc71fb253bf82615caa7ebb0a399e0ca927a66a3c1afabbeee455435bcd06291",
+)
+# lifted_product_members(4), labels and degrees included.
+LIFTED_PRODUCTS_DIGEST = "5eef706449dda50f9d749eacf9037c6b057d3ab5268820c1b51bb120de5f2012"
+
+
+def test_generators_and_product_families_are_pinned():
+    from su21_invariants import dirac, enveloping
+
+    named = symext.named_invariants().as_dict()
+    assert {k: _digest(_terms(x)) for k, x in named.items()} == NAMED_DIGESTS
+    lifted = dirac.lifted_generators().as_dict()
+    assert {k: _digest(_terms(x)) for k, x in lifted.items()} == LIFTED_DIGESTS
+    assert _digest(_terms(enveloping.cubic_element())) == CUBIC_DIGEST
+    for n, want in enumerate(PRODUCT_DIGESTS):
+        members = inv.product_basis_members(n)
+        assert _digest([(label, _terms(x)) for label, x in members]) == want
+    members = inv.lifted_product_members(4)
+    payload = [(label, _terms(x), deg) for label, x, deg in members]
+    assert _digest(payload) == LIFTED_PRODUCTS_DIGEST
+
+
 def test_low_degree_invariants():
     assert inv.invariant_subspace(0) == [symext.one()]
     deg1 = inv.invariant_subspace(1)
@@ -130,8 +189,8 @@ def test_sym_k_decomposition_dimension_arithmetic():
         6: (13, 15, 28),
     }.items():
         assert 2 * n + 1 == top
-        assert inv._binomial(n, 2) == lower
-        assert inv._binomial(n + 2, 2) == full
+        assert comb(n, 2) == lower
+        assert comb(n + 2, 2) == full
         rep = inv.verify_sym_k_decomposition(n)
         assert rep.passed, rep.to_text()
 
@@ -142,8 +201,8 @@ def test_sym_p_decomposition_dimension_arithmetic():
         3: (16, 4, 20),
     }.items():
         assert (n + 1) ** 2 == strings
-        assert inv._binomial(n + 1, 3) == lower
-        assert inv._binomial(n + 3, 3) == full
+        assert comb(n + 1, 3) == lower
+        assert comb(n + 3, 3) == full
         rep = inv.verify_sym_p_decomposition(n)
         assert rep.passed, rep.to_text()
 

@@ -150,6 +150,14 @@ def test_named_invariants_are_invariant():
             assert ad_action(gvec(gi), x).is_zero(), (name, lie.BASIS_NAMES[gi])
 
 
+# Total degrees of the sixteen products, typed in from the paper.
+_T_DEGREES = {
+    "1": 0, "e": 2, "f": 2, "g": 2, "h": 3, "i": 3, "j": 3,
+    "ef": 4, "eg": 4, "fg": 4, "g^2": 4,
+    "ei": 5, "ej": 5, "fh": 5, "fi": 5, "fj": 5,
+}
+
+
 def test_t_products_has_sixteen_members():
     gens = named_invariants()
     products = gens.t_products()
@@ -157,7 +165,7 @@ def test_t_products_has_sixteen_members():
     assert len(products) == 16
     for name, x in products:
         got = x.degree() if not x.is_zero() else 0
-        assert got == symext.T_DEGREES[name]
+        assert got == _T_DEGREES[name]
 
 
 def test_s_monomial_degrees():
