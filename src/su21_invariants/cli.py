@@ -5,8 +5,10 @@
     su21-invariants eval --context CTX "EXPR"
     su21-invariants mul  --context CTX "A" "B"
 
-The verify command exits nonzero exactly when some check fails; reports
-are byte-identical across runs with the same configuration.
+The verify command exits 1 exactly when some check fails, and 2 with an
+``error: ...`` line on stderr for a bad argument or an ``--out`` path that
+cannot be written; reports are byte-identical across runs with the same
+configuration.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def _cmd_verify(args) -> int:
         return 2
     rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as err:
+            message = "error: cannot write report to %s: %s" % (args.out, err.strerror)
+            print(message, file=sys.stderr)
+            return 2
         print("%s: %s (report written to %s)" % (report.suite, report.summary, args.out))
     else:
         print(rendered)

@@ -11,10 +11,18 @@ by linear algebra alone; it is pinned by the requirement that the
 Chevalley image of E1^F1 + E2^F2 exceed the corresponding blade by +2,
 which the identity suites and a dedicated test check explicitly.
 
+The action map of k on p lands in C(p) in closed form,
+
+    alpha(z) = -1/4 sum_i [z, b_i] d_i
+
+over trace-form-dual bases (b_i, d_i) of p (Huang and Pandzic, Dirac
+Operators in Representation Theory, 2.3); no linear system is solved.
+
 The pairings B(v, w) of the basis are integers and the insertion cache
 starts from the integer 1, so Clifford products stay in ``int``
-arithmetic; the 1/n! of the Chevalley map is the only division, and a
-coefficient is a ``Fraction`` only when it is not integral.
+arithmetic; the 1/n! of the Chevalley map and the -1/4 of alpha are the
+only divisions, and a coefficient is a ``Fraction`` only when it is not
+integral.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import lie
-from . import linalg
 from .lie import GVector
 from .linalg import SparseElement, add_terms
 
@@ -117,10 +124,6 @@ def from_p_gvector(v: GVector) -> CElement:
     return CElement(out)
 
 
-def cliff_commutator(x: CElement, y: CElement) -> CElement:
-    return x * y - y * x
-
-
 def _perm_sign(seq) -> int:
     inv = 0
     for i in range(len(seq)):
@@ -147,65 +150,24 @@ def chevalley_mask(mask: int) -> CElement:
     return CElement({m: inv * c for m, c in acc.items()})
 
 
-def chevalley(x) -> CElement:
-    """Chevalley image of an exterior element.
-
-    Accepts a blade mask or any element of S(g) (x) Lambda(p) supported on
-    purely exterior keys.
-    """
-    if isinstance(x, int):
-        return chevalley_mask(x)
-    out = CElement()
-    for (exps, mask), q in x.coeffs.items():
-        if any(exps):
-            raise ValueError("chevalley needs a purely exterior element")
-        out = out + q * chevalley_mask(mask)
-    return out
-
-
-# The images of the six two-blades span, together with the scalars, the
-# subspace of C(p) in which the action of k is realized by commutators.
-_L2_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 @lru_cache(maxsize=None)
 def _alpha_of_basis(zi: int) -> CElement:
-    """Solve [alpha(z), v] = [z, v] (v in p) inside the Chevalley image of
-    the two-blades; uniqueness holds because k acts faithfully on p."""
-    taus = tuple(chevalley_mask((1 << i) | (1 << j)) for i, j in _L2_PAIRS)
     z = lie.gvec(zi)
-    rows = []
-    rhs = {}
-    for t in range(4):
-        vt = c_gen(lie.E1 + t)
-        target = lie.bracket(z, lie.gvec(lie.E1 + t))
-        target_c = from_p_gvector(target)
-        commutators = [cliff_commutator(tau, vt) for tau in taus]
-        for mask in range(16):
-            row = {}
-            for u, com in enumerate(commutators):
-                v = com.coeffs.get(mask)
-                if v:
-                    row[u] = v
-            r = len(rows)
-            rows.append(row)
-            b = target_c.coeffs.get(mask)
-            if b:
-                rhs[r] = b
-    sol = linalg.solve_rows(rows, rhs, 6)
-    if sol is None:
-        raise ValueError(
-            "no element of the two-blade image realizes ad(%s) on p"
-            % lie.BASIS_NAMES[zi]
-        )
     out = CElement()
-    for u, c in sol.items():
-        out = out + c * taus[u]
-    return out
+    for b, d in lie.P_DUAL_PAIRS:
+        out = out + from_p_gvector(lie.bracket(z, lie.gvec(b))) * c_gen(d)
+    return Fraction(-1, 4) * out
 
 
 def alpha(z: GVector) -> CElement:
-    """The action map k -> so(p) followed by the two-blade embedding."""
+    """The action map k -> C(p): alpha(z) = -1/4 sum_i [z, b_i] d_i.
+
+    The sum runs over the trace-form-dual bases (b_i, d_i) of p in
+    ``lie.P_DUAL_PAIRS``.  It is the closed form of the composite
+    k -> so(p) -> C(p) for the relation v w + w v = -2 B(v, w)
+    (Huang and Pandzic, Dirac Operators in Representation Theory, 2.3),
+    and it satisfies [alpha(z), v] = [z, v] for every v in p.
+    """
     out = CElement()
     for i, c in z.coeffs.items():
         if i not in lie.K_SET:

@@ -89,11 +89,6 @@ def embed_c(x: cl.CElement) -> UCElement:
     return UCElement({(ZERO_EXPS, m): v for m, v in x.coeffs.items()})
 
 
-def clifford_component(x: UCElement, mask: int) -> env.UElement:
-    """The U-leg coefficient of one Clifford blade."""
-    return env.UElement({e: v for (e, m), v in x.coeffs.items() if m == mask})
-
-
 def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     """Symmetrize the symmetric leg, Chevalley-map the exterior leg."""
     out = {}
@@ -135,13 +130,9 @@ def dirac_from_dual_pairs(pairs) -> UCElement:
 
 @lru_cache(maxsize=None)
 def dirac_operator() -> UCElement:
-    pairs = [
-        (lie.gvec(lie.E1), lie.gvec(lie.F1)),
-        (lie.gvec(lie.E2), lie.gvec(lie.F2)),
-        (lie.gvec(lie.F1), lie.gvec(lie.E1)),
-        (lie.gvec(lie.F2), lie.gvec(lie.E2)),
-    ]
-    return dirac_from_dual_pairs(pairs)
+    return dirac_from_dual_pairs(
+        [(lie.gvec(b), lie.gvec(d)) for b, d in lie.P_DUAL_PAIRS]
+    )
 
 
 @lru_cache(maxsize=None)

@@ -141,11 +141,6 @@ def _symmetrize_items(exps) -> tuple:
     return tuple(acc.items())
 
 
-def symmetrize(exps) -> UElement:
-    """Image of a commutative monomial under the symmetrization map."""
-    return UElement(dict(_symmetrize_items(tuple(exps))))
-
-
 @lru_cache(maxsize=None)
 def casimir_omega() -> UElement:
     """The degree-two central element built from trace-form dual bases."""

@@ -40,22 +40,9 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
-def graded_keys(n: int, weight=None) -> tuple:
-    """All degree-n keys, optionally restricted to one weight, in the fixed
-    deterministic order (lexicographic exponents, then mask)."""
-    if weight is not None:
-        return _weight_slice(n, *weight)
-    keys = []
-    for mask in range(16):
-        sym_deg = n - mask.bit_count()
-        if sym_deg >= 0:
-            keys.extend((exps, mask) for exps in _compositions(sym_deg, 8))
-    keys.sort()
-    return tuple(keys)
-
-
-def _weight_slice(n: int, w1, w2) -> tuple:
-    """The degree-n keys of weight (w1, w2), enumerated directly.
+def graded_keys(n: int, weight) -> tuple:
+    """The degree-n keys of weight (w1, w2), enumerated directly, in the
+    fixed deterministic order (lexicographic exponents, then mask).
 
     H1 and H2 have weight zero and F1, F2 have weights (-1, 0), (0, -1),
     so once the mask and the exponents of E, F, E1, E2 are chosen, the two
@@ -67,6 +54,7 @@ def _weight_slice(n: int, w1, w2) -> tuple:
     fix the exponents of F1 and F2, and the degree left over is split
     between H1 and H2.  Every key has integral weight.
     """
+    w1, w2 = weight
     if w1 != int(w1) or w2 != int(w2):
         return ()
     w1, w2 = int(w1), int(w2)

@@ -28,6 +28,9 @@ K_INDICES = (H1, H2, E, F)
 P_INDICES = (E1, E2, F1, F2)
 K_SET = frozenset(K_INDICES)
 P_SET = frozenset(P_INDICES)
+# Trace-form-dual bases of p, as index pairs (b_i, d_i): B(b_i, d_j) is 1
+# when i = j and 0 otherwise.
+P_DUAL_PAIRS = ((E1, F1), (E2, F2), (F1, E1), (F2, E2))
 DIM = len(BASIS_NAMES)
 
 

@@ -17,11 +17,13 @@ instead and back-substitutes in increasing pivot order; each kernel
 vector then has its smallest column at its own free column, with value 1,
 and no other kernel vector touches that column, so the kernel comes out
 in reduced echelon form for the original column order without a second
-reduction.
+reduction.  Nothing in the package calls ``rref_rows`` any more; it stays
+as the reference canonical form that the tests compare kernels with, and
+the benchmark's per-layer spans (``bench/tracing.py``) still wrap it.
 
 Reduced echelon forms depend only on the column order, never on the order
-the rows arrive in, so every rank, kernel and solution produced here is
-canonical for a fixed column order.
+the rows arrive in, so every rank and kernel produced here is canonical
+for a fixed column order.
 
 ``SparseElement`` is the same ``{key: value}`` representation seen as an
 element of an algebra.  It carries the linear structure (normalization,
@@ -178,33 +180,6 @@ def kernel_of_rows(rows, ncols: int) -> list:
             if f != pc:
                 basis[f][pc] = exact(Fraction(-v, a))
     return list(basis.values())
-
-
-def solve_rows(rows, rhs, ncols: int):
-    """Solve A x = rhs exactly.
-
-    ``rows`` lists the equations as {col: value} dicts, ``rhs`` maps row
-    index to its right-hand value.  Returns the particular solution with
-    all free variables zero, or None when the system is inconsistent.
-    """
-    aug = ncols
-    stacked = []
-    for r, row in enumerate(rows):
-        row = dict(row)
-        v = Fraction(rhs.get(r, 0))
-        if v:
-            row[aug] = -v
-        if row:
-            stacked.append(row)
-    red = rref_rows(stacked)
-    if aug in red:
-        return None
-    sol = {}
-    for pc, row in red.items():
-        v = row.get(aug)
-        if v:
-            sol[pc] = -v
-    return sol
 
 
 class SparseElement:

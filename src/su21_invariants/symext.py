@@ -180,13 +180,6 @@ def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
     return SymTensorElement(out)
 
 
-def weight_component(x: SymTensorElement, w) -> SymTensorElement:
-    target = Weight(*w)
-    return SymTensorElement(
-        {key: v for key, v in x.coeffs.items() if key_weight(key) == target}
-    )
-
-
 # The sixteen products that complement the polynomial generators a, b, c, d.
 T_ORDER = (
     "1", "e", "f", "g", "h", "i", "j",

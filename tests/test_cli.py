@@ -66,6 +66,15 @@ def test_verify_out_file(tmp_path, capsys):
     assert "report written" in capsys.readouterr().out
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "no" / "such" / "report.txt", tmp_path):
+        code = cli.main(["verify", "lie", "--out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write report to ")
+        assert captured.out == ""
+
+
 def test_verify_bounds_are_configurable(capsys):
     assert cli.main(["verify", "table", "--max-degree", "3"]) == 0
     out = capsys.readouterr().out

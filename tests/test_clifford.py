@@ -11,11 +11,10 @@ from su21_invariants.clifford import (
     c_gen,
     c_one,
     c_scalar,
-    chevalley,
     chevalley_mask,
-    cliff_commutator,
     from_p_gvector,
 )
+from su21_invariants.dirac import sigma_tau
 from su21_invariants.lie import gvec
 
 ALL_MASKS = list(range(16))
@@ -23,6 +22,18 @@ ALL_MASKS = list(range(16))
 
 def _blade(mask):
     return CElement({mask: 1})
+
+
+def _commutator(x, y):
+    return x * y - y * x
+
+
+def _chevalley(x):
+    """Chevalley image of a purely exterior element of S(g) (x) Lambda(p):
+    the Clifford leg of sigma x tau, whose U leg is then the unit."""
+    image = sigma_tau(x)
+    assert not any(any(exps) for exps, _mask in image.coeffs)
+    return CElement({mask: v for (_exps, mask), v in image.coeffs.items()})
 
 
 def test_defining_relation_on_all_pairs():
@@ -69,10 +80,8 @@ def test_chevalley_leading_term():
 
 def test_chevalley_accepts_exterior_elements():
     g = symext.named_invariants().g
-    got = chevalley(g)
+    got = _chevalley(g)
     assert got == _blade(0b0101) + _blade(0b1010) + 2 * c_one()
-    with pytest.raises(ValueError):
-        chevalley(symext.sym_gen(lie.E))
 
 
 def test_chevalley_top_blade_against_permutation_sum():
@@ -105,8 +114,8 @@ def test_chevalley_is_equivariant():
         az = alpha(z)
         for mask in ALL_MASKS:
             ext = symext.SymTensorElement({((0,) * 8, mask): 1})
-            lhs = chevalley(symext.ad_action(z, ext))
-            rhs = cliff_commutator(az, chevalley_mask(mask))
+            lhs = _chevalley(symext.ad_action(z, ext))
+            rhs = _commutator(az, chevalley_mask(mask))
             assert lhs == rhs, (lie.BASIS_NAMES[gi], mask)
 
 
@@ -115,7 +124,7 @@ def test_alpha_realizes_the_bracket_on_p():
         z = gvec(gi)
         az = alpha(z)
         for pi in lie.P_INDICES:
-            got = cliff_commutator(az, c_gen(pi))
+            got = _commutator(az, c_gen(pi))
             want = from_p_gvector(lie.bracket(z, gvec(pi)))
             assert got == want, (lie.BASIS_NAMES[gi], lie.BASIS_NAMES[pi])
 
@@ -124,24 +133,31 @@ def test_alpha_is_a_lie_homomorphism():
     for i in lie.K_INDICES:
         for j in lie.K_INDICES:
             lhs = alpha(lie.bracket(gvec(i), gvec(j)))
-            rhs = cliff_commutator(alpha(gvec(i)), alpha(gvec(j)))
+            rhs = _commutator(alpha(gvec(i)), alpha(gvec(j)))
             assert lhs == rhs
 
 
 def test_alpha_of_center():
-    got = alpha(lie.A_VEC)
-    want = Fraction(-1, 2) * (
-        _blade(0b0101) + _blade(0b1010) + 2 * c_one()
+    # alpha of the center A = H1 + H2 and of each basis vector of k, typed
+    # in; blade bits are E1, E2, F1, F2 from the low bit up (0b0101 = E1 F1).
+    half = Fraction(-1, 2)
+    values = (
+        (lie.A_VEC, half * (_blade(0b0101) + _blade(0b1010) + 2 * c_one())),
+        (gvec(lie.H1), half * (_blade(0b0101) + c_one())),
+        (gvec(lie.H2), half * (_blade(0b1010) + c_one())),
+        (gvec(lie.E), half * _blade(0b1001)),
+        (gvec(lie.F), half * _blade(0b0110)),
     )
-    assert got == want
+    for z, want in values:
+        assert alpha(z) == want, z
 
 
 def test_alpha_commutes_where_the_bracket_vanishes():
     # [E, F2] = 0 in g, so alpha(E) commutes with F2 in C(p); the companion
     # bracket [E, F1] = -F2 is realized too.
     a_e = alpha(gvec(lie.E))
-    assert cliff_commutator(a_e, c_gen(lie.F2)).is_zero()
-    assert cliff_commutator(a_e, c_gen(lie.F1)) == -c_gen(lie.F2)
+    assert _commutator(a_e, c_gen(lie.F2)).is_zero()
+    assert _commutator(a_e, c_gen(lie.F1)) == -c_gen(lie.F2)
 
 
 def test_alpha_rejects_p_input():

@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from su21_invariants import lie
+from su21_invariants import lie, symext
+from su21_invariants.dirac import sigma_tau
 from su21_invariants.enveloping import (
     UElement,
     casimir_omega,
     cubic_element,
     from_gvector,
-    symmetrize,
     u_commutator,
     u_gen,
     u_one,
@@ -91,6 +91,13 @@ def _word_of(exps):
     return tuple(word)
 
 
+def _symmetrize(exps):
+    """Symmetrization of one monomial: the U leg of sigma x tau of the key
+    (exps, empty blade)."""
+    x = sigma_tau(symext.SymTensorElement({(tuple(exps), 0): 1}))
+    return UElement({e: v for (e, _mask), v in x.coeffs.items()})
+
+
 def _factorial_symmetrize(exps):
     """The literal average over all orderings; independent of the module's
     first-letter recursion."""
@@ -110,9 +117,9 @@ def _factorial_symmetrize(exps):
 
 def test_symmetrize_examples():
     h1_cubed = _exps((lie.H1, 3))
-    assert symmetrize(h1_cubed) == UElement({h1_cubed: 1})
+    assert _symmetrize(h1_cubed) == UElement({h1_cubed: 1})
     ef = _exps((lie.E, 1), (lie.F, 1))
-    assert symmetrize(ef) == UElement(
+    assert _symmetrize(ef) == UElement(
         {ef: 1, _exps((lie.H1, 1)): Fraction(-1, 2), _exps((lie.H2, 1)): Fraction(1, 2)}
     )
 
@@ -136,7 +143,7 @@ def test_symmetrize_matches_factorial_oracle():
             if exps in seen:
                 continue
             seen.add(exps)
-            assert symmetrize(exps) == _factorial_symmetrize(exps), exps
+            assert _symmetrize(exps) == _factorial_symmetrize(exps), exps
     for _ in range(15):
         exps = [0] * 8
         for _ in range(4):
@@ -144,12 +151,10 @@ def test_symmetrize_matches_factorial_oracle():
         exps = tuple(exps)
         if exps not in seen:
             seen.add(exps)
-            assert symmetrize(exps) == _factorial_symmetrize(exps), exps
+            assert _symmetrize(exps) == _factorial_symmetrize(exps), exps
 
 
 def test_symmetrize_is_equivariant():
-    from su21_invariants import symext
-
     rng = random.Random(29)
     for _ in range(40):
         exps = _random_monomial(rng, 4)
@@ -159,8 +164,8 @@ def test_symmetrize_is_equivariant():
             image = symext.ad_action(z, mono)
             lhs = UElement()
             for (k, _mask), v in image.coeffs.items():
-                lhs = lhs + v * symmetrize(k)
-            rhs = u_commutator(from_gvector(z), symmetrize(exps))
+                lhs = lhs + v * _symmetrize(k)
+            rhs = u_commutator(from_gvector(z), _symmetrize(exps))
             assert lhs == rhs, (exps, lie.BASIS_NAMES[gi])
 
 
@@ -169,7 +174,7 @@ def test_symmetrize_leading_term():
     for _ in range(40):
         exps = _random_monomial(rng, 5)
         deg = sum(exps)
-        diff = symmetrize(exps) - UElement({exps: 1})
+        diff = _symmetrize(exps) - UElement({exps: 1})
         assert diff.is_zero() or diff.degree() < deg
 
 

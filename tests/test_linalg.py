@@ -108,20 +108,6 @@ def test_rref_pivots_are_one_and_reduced():
                 assert other not in row
 
 
-def test_solve_consistent_and_inconsistent():
-    rows = [{0: 2, 1: 1}, {1: 3}]
-    sol = linalg.solve_rows(rows, {0: 5, 1: 6}, 2)
-    assert sol == {0: Fraction(3, 2), 1: 2}
-    rows = [{0: 1}, {0: 1}]
-    assert linalg.solve_rows(rows, {0: 1, 1: 2}, 1) is None
-
-
-def test_solve_underdetermined_picks_zero_free_vars():
-    rows = [{0: 1, 1: 1}]
-    sol = linalg.solve_rows(rows, {0: 4}, 2)
-    assert sol == {0: 4}
-
-
 def test_membership_reduction():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
     pivots = linalg.echelon_rows(rows)

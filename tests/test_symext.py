@@ -16,7 +16,6 @@ from su21_invariants.symext import (
     named_invariants,
     one,
     sym_gen,
-    weight_component,
 )
 
 
@@ -120,16 +119,6 @@ def test_keys_are_weight_vectors():
             assert type(w.h1) is int and type(w.h2) is int
             assert ad_action(gvec(lie.H1), mono) == w.h1 * mono
             assert ad_action(gvec(lie.H2), mono) == w.h2 * mono
-
-
-def test_weight_component():
-    e1 = sym_gen(lie.E1)
-    f2 = sym_gen(lie.F2)
-    x = e1 * e1 * f2
-    assert weight_component(x, (2, -1)) == x
-    assert weight_component(x, (0, 0)).is_zero()
-    c = named_invariants().c
-    assert weight_component(c, (0, 0)) == c
 
 
 def test_named_invariants_structure():
