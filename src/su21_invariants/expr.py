@@ -48,7 +48,9 @@ class ExprError(ValueError):
         self.position = position
 
 
-_TOKEN_OPS = ("+", "-", "*", ")", "(")
+# Only ASCII digits form numbers: str.isdigit() also admits other scripts'
+# digits and superscripts, which int() either reads or rejects untidily.
+_DIGITS = "0123456789"
 
 
 def tokenize(text: str) -> list:
@@ -92,18 +94,18 @@ def tokenize(text: str) -> list:
             out.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             num = int(text[i:j])
             den = 1
             if j < n and text[j] == "/":
                 k = j + 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or text[k] not in _DIGITS:
                     raise ExprError("expected digits after '/'", j)
                 j = k
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 den = int(text[k:j])
                 if not den:

@@ -18,6 +18,12 @@ occupy disjoint columns numbered in slice order, so sorting the kernel
 vectors by their smallest column yields the reduced echelon basis of the
 whole kernel with no global reduction.  The blocked kernel is
 cross-checked against an unblocked joint-kernel computation in the tests.
+
+The lifted product family of ``uc-basis`` is checked at every filtration
+step with one echelon carried across the steps: the rows of all members
+are built once over one key order, the degree-m rows extend the echelon of
+the lower degrees, and its size after step m is the rank of all members of
+degree <= m.  No rank is recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -496,11 +502,14 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
         )
     )
     members = lifted_product_members(max_filtration)
+    rows, _ = rows_from_elements([x for _, x, _ in members])
+    # The degree-m rows extend one echelon; its size is the rank up to m.
+    pivots = {}
+    count = 0
     for m in range(max_filtration + 1):
-        upto = [x for _, x, deg in members if deg <= m]
-        count = len(upto)
-        rows, _ = rows_from_elements(upto)
-        rank = linalg.rank_of_rows(rows)
+        batch = [row for row, (_, _, deg) in zip(rows, members) if deg == m]
+        count += len(batch)
+        rank = linalg.rank_of_rows(batch, pivots)
         expect = sum(expected_dimension(k) for k in range(m + 1))
         checks.append(
             CheckResult(

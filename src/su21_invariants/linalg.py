@@ -104,13 +104,16 @@ def _combine(row: dict, piv: dict, lead) -> dict:
     return _strip_content(new)
 
 
-def echelon_rows(rows, lead=min) -> dict:
+def echelon_rows(rows, lead=min, pivots=None) -> dict:
     """Forward elimination; returns {pivot column: primitive integer row}.
 
     ``lead`` picks the column a row is eliminated on: ``min`` leaves every
-    pivot row zero left of its pivot, ``max`` zero right of it.
+    pivot row zero left of its pivot, ``max`` zero right of it.  Given a
+    ``pivots`` dict from an earlier call with the same ``lead``, the rows
+    are added to it in place, so a rank can be read after each batch.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         row = _primitive(row)
         while row:
@@ -135,8 +138,9 @@ def reduce_against(pivots: dict, row) -> dict:
     return row
 
 
-def rank_of_rows(rows) -> int:
-    return len(echelon_rows(rows))
+def rank_of_rows(rows, pivots=None) -> int:
+    """Rank of rows; given the ``pivots`` of earlier rows, the rank of all."""
+    return len(echelon_rows(rows, pivots=pivots))
 
 
 def rref_rows(rows) -> dict:

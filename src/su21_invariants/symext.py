@@ -255,14 +255,29 @@ class InvariantGenerators:
         x["1"], x["g^2"] = self.a.scalar(1), self.g * self.g
         return [(n, x[n] if n in x else x[n[0]] * x[n[1]]) for n in T_ORDER]
 
-    def s_monomial(self, n1: int, n2: int, n3: int, n4: int):
-        return self.a ** n1 * self.b ** n2 * self.c ** n3 * self.d ** n4
-
     def product_family(self, low: int, high: int, mark: str = ""):
         """The members a^n1 b^n2 c^n3 d^n4 * t of total degree low..high, as
         (label, element, degree): t in the order of ``t_products``, then
-        n4, n3, n2, n1 increasing; mark follows each letter of the label."""
+        n4, n3, n2, n1 increasing; mark follows each letter of the label.
+
+        Each monomial is built once per call, as its prefix times one
+        letter: mon(n) = mon(n - e_i) * (a, b, c, d)[i] for the last nonzero
+        slot i.  The word a..a b..b c..c d..d is thus multiplied left to
+        right, which needs associativity only, not commutativity, and the
+        sixteen t share the monomials.
+        """
         template = "a~^%d b~^%d c~^%d d~^%d * %s~".replace("~", mark)
+        letters = (self.a, self.b, self.c, self.d)
+        monomials = {(0, 0, 0, 0): self.a.scalar(1)}
+
+        def monomial(n):
+            x = monomials.get(n)
+            if x is None:
+                i = max(k for k in range(4) if n[k])
+                prefix = n[:i] + (n[i] - 1,) + n[i + 1:]
+                x = monomials[n] = monomial(prefix) * letters[i]
+            return x
+
         out = []
         for tname, t in self.t_products():
             rem = high - t.degree()
@@ -271,7 +286,7 @@ class InvariantGenerators:
                     for n2 in range((rem - 3 * n4 - 2 * n3) // 2 + 1):
                         top = rem - 3 * n4 - 2 * n3 - 2 * n2
                         for n1 in range(max(0, top - (high - low)), top + 1):
-                            x = self.s_monomial(n1, n2, n3, n4) * t
+                            x = monomial((n1, n2, n3, n4)) * t
                             label = template % (n1, n2, n3, n4, tname)
                             out.append((label, x, high - top + n1))
         return out

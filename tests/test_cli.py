@@ -105,6 +105,16 @@ def test_eval_parse_error_exit_code(capsys):
     assert "position" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["E^\u0661 + \u0663", "E^\u00b2"])
+def test_non_ascii_digits_are_a_usage_error(text, capsys):
+    # Arabic-Indic one and three, and a superscript two: numbers are ASCII only.
+    assert cli.main(["eval", "--context", "symmetric", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unexpected character")
+    assert "(at position 2)" in captured.err
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     assert cli.main(["eval", "--context", "symmetric", "1/0"]) == 2
     assert "zero denominator" in capsys.readouterr().err

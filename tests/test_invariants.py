@@ -262,6 +262,52 @@ def test_lifted_basis_slice():
     assert rep.passed, rep.to_text()
 
 
+def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
+    # The suite carries one echelon across the filtration steps; each rank it
+    # reads must equal a rank computed from scratch on the cumulative set.
+    ranks = []
+    rank_of_rows = linalg.rank_of_rows
+
+    def spy(rows, pivots=None):
+        rank = rank_of_rows(rows, pivots)
+        if pivots is not None:
+            ranks.append(rank)
+        return rank
+
+    monkeypatch.setattr(linalg, "rank_of_rows", spy)
+    rep = inv.verify_lifted_basis_slice(6)
+    monkeypatch.undo()
+    assert rep.passed, rep.to_text()
+    members = inv.lifted_product_members(6)
+    fresh = []
+    for m in range(7):
+        rows, _ = inv.rows_from_elements([x for _, x, deg in members if deg <= m])
+        fresh.append(linalg.rank_of_rows(rows))
+    assert ranks == fresh
+    assert fresh == [sum(EXPECTED_DIMS[: m + 1]) for m in range(7)]
+
+
+def test_lifted_family_builds_each_monomial_once(monkeypatch):
+    from su21_invariants import dirac
+
+    lift = dirac.lifted_generators()
+    products = 0
+    mul = dirac.UCElement.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(dirac.UCElement, "__mul__", counting)
+    family = lift.product_family(0, 10, "~")
+    # 836 members over 147 monomials: one product per monomial and one per
+    # member, plus the nine two-letter t; rebuilding each monomial from its
+    # powers for every t took 6 275.
+    assert len(family) == 836
+    assert products <= 1000
+
+
 def test_ideal_slice():
     for bound in (2, 3):
         rep = inv.verify_ideal_slice(bound)

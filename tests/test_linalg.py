@@ -113,3 +113,17 @@ def test_membership_reduction():
     pivots = linalg.echelon_rows(rows)
     assert not linalg.reduce_against(pivots, {0: 1, 2: -1})
     assert linalg.reduce_against(pivots, {0: 1, 2: 1})
+
+
+def test_echelon_extended_batch_by_batch_matches_one_pass():
+    rng = random.Random(31)
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        rows = _random_rows(rng, rng.randint(1, 12), ncols)
+        cuts = sorted(rng.randint(0, len(rows)) for _ in range(3))
+        for lead in (min, max):
+            pivots = {}
+            for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+                assert linalg.echelon_rows(rows[lo:hi], lead, pivots) is pivots
+                assert len(pivots) == linalg.rank_of_rows(rows[:hi])
+            assert pivots == linalg.echelon_rows(rows, lead)

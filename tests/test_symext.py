@@ -157,7 +157,14 @@ def test_t_products_has_sixteen_members():
         assert got == _T_DEGREES[name]
 
 
-def test_s_monomial_degrees():
-    gens = named_invariants()
-    assert gens.s_monomial(0, 0, 0, 0) == one()
-    assert gens.s_monomial(2, 1, 0, 1).degree() == 2 + 2 + 3
+def test_product_family_degrees_match_the_labels():
+    family = named_invariants().product_family(0, 8)
+    members = {label: (x, deg) for label, x, deg in family}
+    assert len(members) == len(family)
+    assert members["a^0 b^0 c^0 d^0 * 1"] == (one(), 0)
+    assert members["a^2 b^1 c^0 d^1 * 1"][0].degree() == 2 + 2 + 3
+    for label, (x, deg) in members.items():
+        powers, tname = label.split(" * ")
+        n1, n2, n3, n4 = (int(p.split("^")[1]) for p in powers.split())
+        want = n1 + 2 * n2 + 2 * n3 + 3 * n4 + _T_DEGREES[tname]
+        assert x.degree() == deg == want
