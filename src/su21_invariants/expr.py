@@ -22,15 +22,20 @@ they admit and the algebra the operators act in:
 H and a abbreviate H1 - H2 and H1 + H2.  Parentheses nest at most
 MAX_NESTING (100) levels deep, and an exponent is at most MAX_EXPONENT
 (32): the cost of a power grows quickly with its exponent, and (E+F)^32
-in the enveloping context already takes about 2 seconds.  Deeper nesting
-or a larger exponent is an ExprError, like any other malformed
-expression.  Printing emits one term per canonical key, so
+in the enveloping context already takes about 2 seconds.  The size of a
+power is capped as well: x^n with x of t terms may have up to
+C(t + n - 1, n) terms, the number of degree-n monomials in t letters, and
+that count is at most MAX_POWER_TERMS (20 000), so the power of all
+eight letters of g may go to 10 (19 448 terms) but not to 14.  Deeper
+nesting, a larger exponent or a larger power is an ExprError, like any
+other malformed expression.  Printing emits one term per canonical key, so
 parse(print(x)) recovers x exactly, and print(parse(s)) canonicalizes s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import clifford as cl
 from . import enveloping as env
@@ -40,6 +45,7 @@ from . import symext
 CONTEXTS = ("symmetric", "enveloping", "clifford", "tensor")
 MAX_NESTING = 100
 MAX_EXPONENT = 32
+MAX_POWER_TERMS = 20000
 
 
 class ExprError(ValueError):
@@ -219,6 +225,13 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 self.fail(
                     "exponent %d exceeds the cap of %d" % (exponent, MAX_EXPONENT)
+                )
+            terms = len(value.coeffs)
+            size = comb(max(terms, 1) + exponent - 1, exponent)
+            if size > MAX_POWER_TERMS:
+                self.fail(
+                    "a power of %d terms to the %d may have %d terms, over the cap of %d"
+                    % (terms, exponent, size, MAX_POWER_TERMS)
                 )
             self.advance()
             value = value ** exponent

@@ -148,6 +148,18 @@ def rank_of_elements(elements) -> int:
     return linalg.rank_of_rows(rows)
 
 
+# (name, vector) of the k-generators H1, H2, E, F.
+_K_GENERATORS = tuple((lie.BASIS_NAMES[gi], lie.gvec(gi)) for gi in lie.K_INDICES)
+
+
+def _not_annihilating(x: SymTensorElement) -> list:
+    """Names of the k-generators whose action on x is not zero; all four
+    are applied."""
+    return [
+        name for name, z in _K_GENERATORS if not symext.ad_action(z, x).is_zero()
+    ]
+
+
 class InvarianceError(ArithmeticError):
     """A computed kernel element is not annihilated by all of k."""
 
@@ -191,11 +203,7 @@ def _invariant_subspace_cached(n: int) -> tuple:
     basis = _ad_e_kernel(n)
     failures = []
     for idx, x in enumerate(basis):
-        names = [
-            lie.BASIS_NAMES[gi]
-            for gi in lie.K_INDICES
-            if not symext.ad_action(lie.gvec(gi), x).is_zero()
-        ]
+        names = _not_annihilating(x)
         if names:
             failures.append(
                 "degree-%d kernel element %d is not annihilated by %s"
@@ -255,8 +263,7 @@ def _span_is_stable(elements) -> bool:
     rows, keys = rows_from_elements(elements)
     pivots = linalg.echelon_rows(rows)
     index = {k: i for i, k in enumerate(keys)}
-    for gi in lie.K_INDICES:
-        z = lie.gvec(gi)
+    for _, z in _K_GENERATORS:
         for x in elements:
             image = symext.ad_action(z, x)
             row = {}
@@ -345,10 +352,11 @@ def verify_sym_p_decomposition(n: int) -> VerificationReport:
 
     hw_ok = True
     strings = []
+    e_vec = lie.gvec(lie.E)
     e1, f2 = symext.sym_gen(lie.E1), symext.sym_gen(lie.F2)
     for i in range(n + 1):
         v = e1 ** (n - i) * f2 ** i
-        if not symext.ad_action(lie.gvec(lie.E), v).is_zero():
+        if not symext.ad_action(e_vec, v).is_zero():
             hw_ok = False
         if symext.key_weight(next(iter(v.coeffs))) != (n - i, -i):
             hw_ok = False
@@ -459,11 +467,11 @@ def verify_product_basis(max_degree: int = 8) -> VerificationReport:
         if len(members) != expect:
             problems.append("count %d != %d" % (len(members), expect))
         for label, x in members:
-            for gi in lie.K_INDICES:
-                if not symext.ad_action(lie.gvec(gi), x).is_zero():
-                    problems.append("%s is not invariant under %s"
-                                    % (label, lie.BASIS_NAMES[gi]))
-                    break
+            names = _not_annihilating(x)
+            if names:
+                problems.append(
+                    "%s is not invariant under %s" % (label, ", ".join(names))
+                )
         rank = rank_of_elements([x for _, x in members])
         if rank != len(members):
             problems.append("rank %d < count %d" % (rank, len(members)))

@@ -5,7 +5,12 @@ has one slot per basis element of g, and the mask packs a subset of
 {E1, E2, F1, F2} as four bits in that order.  Wedge signs are always
 normalized to increasing mask order; total degree is symmetric degree
 plus exterior degree.  The adjoint action of k extends the bracket as a
-derivation on both tensor legs.
+derivation on both tensor legs.  It reads letter tables built once per
+acting element z, from ``lie.BRACKET_TABLE``, and kept in a small bounded
+cache: the diagonal coefficient [z, x_i]_i of each letter, which adds up
+to one scalar per key, and the off-diagonal moves, the only part of the
+action that builds new keys.  ad(H1) and ad(H2) are diagonal and only
+rescale keys.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
 is integral, a ``Fraction`` otherwise, never a float.  Every weight,
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import add, mul
 
 from . import lie
 from .lie import E, E1, E2, F, F1, F2, GVector, Weight
@@ -49,6 +55,12 @@ def _merge_sign(ma: int, mb: int) -> int:
     return -1 if inversions & 1 else 1
 
 
+# _MERGE_SIGNS[ma][mb] is _merge_sign(ma, mb), for all 256 pairs of masks.
+_MERGE_SIGNS = tuple(
+    tuple(_merge_sign(ma, mb) for mb in range(16)) for ma in range(16)
+)
+
+
 class SymTensorElement(SparseElement):
     """Element of S(g) (x) Lambda(p); {(exponents, mask): coefficient}."""
 
@@ -62,17 +74,16 @@ class SymTensorElement(SparseElement):
 
     def _product(self, other) -> dict:
         out = {}
+        get = out.get
+        right = other.coeffs.items()
         for (ea, ma), ca in self.coeffs.items():
-            for (eb, mb), cb in other.coeffs.items():
-                sign = _merge_sign(ma, mb)
+            signs = _MERGE_SIGNS[ma]
+            for (eb, mb), cb in right:
+                sign = signs[mb]
                 if not sign:
                     continue
-                key = (tuple(x + y for x, y in zip(ea, eb)), ma | mb)
-                w = out.get(key, 0) + sign * ca * cb
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                key = (tuple(map(add, ea, eb)), ma | mb)
+                out[key] = get(key, 0) + sign * ca * cb
         return out
 
     def __repr__(self):
@@ -127,56 +138,113 @@ def key_weight(key) -> Weight:
     return Weight(a, b)
 
 
+@lru_cache(maxsize=64)
+def _letter_tables(z_items: tuple) -> tuple:
+    """The letter tables of ad(z), for z given by its sorted (index, coeff) items.
+
+    Returns (sym_diag, sym_moves, mask_diag, mask_moves, bad):
+
+    * sym_diag[i] = [z, x_i]_i, the diagonal coefficient of the symmetric
+      letter i, or None when all eight are zero;
+    * sym_moves, the pairs (i, ((j, u), ...)) of the letters i whose
+      bracket [z, x_i] has an off-diagonal part sum_j u x_j;
+    * mask_diag[mask], the sum of the diagonal coefficients of the
+      exterior letters in mask;
+    * mask_moves[mask], the pairs (new mask, signed u) that one
+      off-diagonal exterior replacement makes, wedge sign included;
+    * bad, the bits of the exterior letters whose bracket leaves p.
+    """
+    images = []
+    for i in range(lie.DIM):
+        acc = {}
+        for zi, zc in z_items:
+            add_terms(acc, lie.BRACKET_TABLE[zi][i].coeffs.items(), zc)
+        images.append(acc)
+    sym_diag = tuple(images[i].get(i, 0) for i in range(lie.DIM))
+    sym_moves = []
+    for i, img in enumerate(images):
+        moves = tuple((j, u) for j, u in img.items() if j != i)
+        if moves:
+            sym_moves.append((i, moves))
+    bad = 0
+    for k in range(4):
+        if not images[lie.E1 + k].keys() <= lie.P_SET:
+            bad |= 1 << k
+    mask_diag = []
+    mask_moves = []
+    for mask in range(16):
+        diag = 0
+        moves = {}
+        for k in range(4):
+            if not mask >> k & 1 or bad >> k & 1:
+                continue
+            for j, u in images[lie.E1 + k].items():
+                jb = ext_bit(j)
+                if jb == k:
+                    diag += u
+                elif not mask >> jb & 1:
+                    # The letter moves from slot k to slot jb, past the
+                    # letters strictly between the two.
+                    lo, hi = (k, jb) if k < jb else (jb, k)
+                    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
+                    sign = -1 if (mask & between).bit_count() & 1 else 1
+                    new = mask ^ (1 << k) ^ (1 << jb)
+                    moves[new] = moves.get(new, 0) + sign * u
+        mask_diag.append(diag)
+        mask_moves.append(tuple((m, u) for m, u in moves.items() if u))
+    return (
+        sym_diag if any(sym_diag) else None,
+        tuple(sym_moves),
+        tuple(mask_diag),
+        tuple(mask_moves),
+        bad,
+    )
+
+
 def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
     """Derivation extension of the bracket to both tensor legs.
+
+    The letter tables of ad(z) (``_letter_tables``) are built once per z
+    and kept in a small cache.  The diagonal part of the action is one
+    scalar per key, sum_i e_i [z, x_i]_i over the symmetric letters plus
+    the diagonal coefficients of the exterior letters, so ad(H1) and
+    ad(H2) rescale each key in place; only the off-diagonal moves build
+    new keys.
 
     On the exterior leg only the k-part of the action makes sense; a z
     whose bracket pushes an exterior letter out of p raises ValueError.
     """
-    img = [None] * 8
-    for i, _ in enumerate(img):
-        acc = {}
-        for zi, zc in z.coeffs.items():
-            add_terms(acc, lie.BRACKET_TABLE[zi][i].coeffs.items(), zc)
-        img[i] = acc
-
+    sym_diag, sym_moves, mask_diag, mask_moves, bad = _letter_tables(
+        tuple(sorted(z.coeffs.items()))
+    )
     out = {}
-
-    def put(key, v):
-        w = out.get(key, 0) + v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
-    for (exps, mask), q in x.coeffs.items():
-        for i, e in enumerate(exps):
+    get = out.get
+    for key, q in x.coeffs.items():
+        exps, mask = key
+        if mask & bad:
+            raise ValueError(
+                "adjoint action on the exterior leg requires a k-element"
+            )
+        s = mask_diag[mask]
+        if sym_diag is not None:
+            s += sum(map(mul, exps, sym_diag))
+        if s:
+            out[key] = get(key, 0) + q * s
+        for i, moves in sym_moves:
+            e = exps[i]
             if not e:
                 continue
-            for j, u in img[i].items():
-                new = list(exps)
-                new[i] -= 1
+            new = list(exps)
+            new[i] = e - 1
+            qe = q * e
+            for j, u in moves:
                 new[j] += 1
-                put((tuple(new), mask), q * e * u)
-        for k in range(4):
-            if not (mask >> k & 1):
-                continue
-            for j, u in img[lie.E1 + k].items():
-                if j not in lie.P_SET:
-                    raise ValueError(
-                        "adjoint action on the exterior leg requires a k-element"
-                    )
-                jb = ext_bit(j)
-                if jb == k:
-                    put((exps, mask), q * u)
-                elif mask >> jb & 1:
-                    continue
-                else:
-                    lo, hi = (k, jb) if k < jb else (jb, k)
-                    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-                    crossings = ((mask ^ (1 << k)) & between).bit_count()
-                    sign = -1 if crossings & 1 else 1
-                    put((exps, (mask ^ (1 << k)) | (1 << jb)), q * u * sign)
+                nkey = (tuple(new), mask)
+                out[nkey] = get(nkey, 0) + qe * u
+                new[j] -= 1
+        for m, u in mask_moves[mask]:
+            nkey = (exps, m)
+            out[nkey] = get(nkey, 0) + q * u
     return SymTensorElement(out)
 
 

@@ -139,6 +139,25 @@ def test_exponent_is_capped(capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_power_size_is_capped(capsys):
+    letters = "(H1+H2+E+F+E1+E2+F1+F2)"
+    # C(8 + 14 - 1, 14) = 116 280 possible terms: refused before any product.
+    assert cli.main(["eval", "--context", "symmetric", letters + "^14"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "over the cap of %d" % expr.MAX_POWER_TERMS in err
+    assert cli.main(["mul", "--context", "enveloping", "E", letters + "^11"]) == 2
+    assert "over the cap" in capsys.readouterr().err
+    # C(8 + 10 - 1, 10) = 19 448 terms is under the cap, and so is (E+F)^32.
+    assert cli.main(["eval", "--context", "symmetric", letters + "^10"]) == 0
+    assert capsys.readouterr().out.count(" + ") == 19448 - 1
+    assert cli.main(["eval", "--context", "symmetric", "(E+F)^32"]) == 0
+    assert capsys.readouterr().out.strip().startswith("E^32 + 32*E^31*F")
+    for zero_power in ("0^0", "(E-E)^0"):
+        assert cli.main(["eval", "--context", "symmetric", zero_power]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"

@@ -378,6 +378,53 @@ def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch, fresh_subspace
         inv.invariant_subspace(2)
 
 
+def _weight_one_one(name):
+    """Elements of weight (1, 1) that E and F both kill, so that only the
+    diagonal part of ad(H1) and ad(H2) sees them."""
+    s, x = symext.sym_gen, symext.ext_gen
+    if name == "wedge":
+        return x(lie.E1) * x(lie.E2)
+    return s(lie.E1) * x(lie.E2) - s(lie.E2) * x(lie.E1)
+
+
+@pytest.mark.parametrize("name", ["wedge", "mixed"])
+def test_nonzero_weight_in_the_kernel_is_a_fail_check(
+    monkeypatch, fresh_subspace_cache, name
+):
+    bad = _weight_one_one(name)
+    assert symext.ad_action(gvec(lie.E), bad).is_zero()
+    assert symext.ad_action(gvec(lie.F), bad).is_zero()
+    kernel = inv._ad_e_kernel
+
+    def poisoned(n):
+        basis = kernel(n)
+        return basis[:-1] + (bad,) if n == 2 else basis
+
+    monkeypatch.setattr(inv, "_ad_e_kernel", poisoned)
+    rep = inv.verify_table(3)
+    assert [c.passed for c in rep.checks] == [True, True, False, True]
+    assert rep.checks[2].residual == (
+        "degree-2 kernel element 5 is not annihilated by H1, H2"
+    )
+
+
+@pytest.mark.parametrize("name", ["wedge", "mixed"])
+def test_nonzero_weight_in_a_product_member_is_a_fail_check(monkeypatch, name):
+    bad = _weight_one_one(name)
+    members = inv.product_basis_members
+    target = "a^0 b^0 c^0 d^0 * g"
+
+    def poisoned(n):
+        return tuple(
+            (label, x + bad if label == target else x) for label, x in members(n)
+        )
+
+    monkeypatch.setattr(inv, "product_basis_members", poisoned)
+    rep = inv.verify_product_basis(3)
+    assert [c.passed for c in rep.checks] == [True, True, False, True]
+    assert rep.checks[2].residual == "%s is not invariant under H1, H2" % target
+
+
 def _assert_exact(x):
     for v in x.coeffs.values():
         assert type(v) in (int, Fraction), v

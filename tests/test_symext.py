@@ -168,3 +168,131 @@ def test_product_family_degrees_match_the_labels():
         n1, n2, n3, n4 = (int(p.split("^")[1]) for p in powers.split())
         want = n1 + 2 * n2 + 2 * n3 + 3 * n4 + _T_DEGREES[tname]
         assert x.degree() == deg == want
+
+
+# Reference k-action and product, written from the definitions: replace one
+# letter at a time by its bracket (read from lie.BRACKET_TABLE), and sort
+# wedge words by adjacent transpositions, one sign flip per swap.
+
+def _word(mask):
+    return [lie.E1 + k for k in range(4) if mask >> k & 1]
+
+
+def _sorted_wedge(letters):
+    """(sign, mask) of the wedge of the letters in order; sign 0 on a repeat."""
+    word = list(letters)
+    if len(set(word)) < len(word):
+        return 0, 0
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for pos in range(end):
+            if word[pos] > word[pos + 1]:
+                word[pos], word[pos + 1] = word[pos + 1], word[pos]
+                sign = -sign
+    return sign, sum(1 << (i - lie.E1) for i in word)
+
+
+def _bracket_items(z, i):
+    """The coefficients u_j of [z, x_i] = sum_j u_j x_j."""
+    out = {}
+    for zi, zc in z.coeffs.items():
+        for j, u in lie.BRACKET_TABLE[zi][i].coeffs.items():
+            out[j] = out.get(j, 0) + Fraction(zc) * u
+    return out
+
+
+def _reference_ad(z, x):
+    out = {}
+    for (exps, mask), q in x.coeffs.items():
+        for i, e in enumerate(exps):
+            for j, u in _bracket_items(z, i).items():
+                if e:
+                    new = list(exps)
+                    new[i] -= 1
+                    new[j] += 1
+                    key = (tuple(new), mask)
+                    out[key] = out.get(key, 0) + q * e * u
+        word = _word(mask)
+        for pos, letter in enumerate(word):
+            for j, u in _bracket_items(z, letter).items():
+                assert j in lie.P_SET
+                sign, new_mask = _sorted_wedge(word[:pos] + [j] + word[pos + 1:])
+                if sign:
+                    key = (exps, new_mask)
+                    out[key] = out.get(key, 0) + sign * q * u
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_product(x, y):
+    out = {}
+    for (ea, ma), ca in x.coeffs.items():
+        for (eb, mb), cb in y.coeffs.items():
+            sign, mask = _sorted_wedge(_word(ma) + _word(mb))
+            if sign:
+                key = (tuple(a + b for a, b in zip(ea, eb)), mask)
+                out[key] = out.get(key, 0) + sign * ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _draw_element(rng, mask):
+    """A random element whose first term carries the given mask; the other
+    terms carry random masks, or none when mask is 0; total degree <= 6."""
+    terms = {}
+    for t in range(rng.randint(1, 4)):
+        m = mask if t == 0 or not mask else rng.randrange(16)
+        exps = [0] * 8
+        for _ in range(rng.randint(0, max(0, 6 - m.bit_count()))):
+            exps[rng.randrange(8)] += 1
+        numerator = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+        terms[(tuple(exps), m)] = Fraction(numerator, rng.choice((1, 1, 2, 3)))
+    return SymTensorElement(terms)
+
+
+def _draw_z(rng, indices):
+    coeffs = {}
+    for i in rng.sample(indices, rng.randint(1, len(indices))):
+        coeffs[i] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    return lie.GVector(coeffs)
+
+
+def _draws():
+    """Seeded random elements of degree <= 6, six for each exterior mask."""
+    rng = random.Random(17)
+    return [(mask, _draw_element(rng, mask)) for mask in range(16) for _ in range(6)]
+
+
+def _assert_exact_dict(got, want):
+    assert got == want
+    for v in got.values():
+        assert type(v) is int or v.denominator != 1, v
+
+
+def test_ad_action_matches_letter_replacement():
+    rng = random.Random(18)
+    basis = [gvec(i) for i in range(lie.DIM)]
+    k_basis = [gvec(i) for i in lie.K_INDICES]
+    for mask, x in _draws():
+        zs = k_basis + [_draw_z(rng, list(lie.K_INDICES)) for _ in range(3)]
+        if not mask:
+            # Only the symmetric leg is present, so all of g may act.
+            zs += basis + [_draw_z(rng, list(range(lie.DIM))) for _ in range(3)]
+        for z in zs:
+            _assert_exact_dict(ad_action(z, x).coeffs, _reference_ad(z, x))
+
+
+def test_product_matches_wedge_sorting():
+    xs = [x for _, x in _draws()]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        _assert_exact_dict((x * y).coeffs, _reference_product(x, y))
+        _assert_exact_dict((x * x).coeffs, _reference_product(x, x))
+
+
+def test_ad_action_rejects_p_in_a_later_term():
+    # The first term has no exterior letter; only the second holds F1,
+    # and [E1, F1] lies in k.
+    x = SymTensorElement({_key([(lie.E, 2)]): 1, _key([(lie.H1, 1)], 0b0100): 3})
+    assert list(x.coeffs)[1][1] == 0b0100
+    with pytest.raises(ValueError):
+        ad_action(gvec(lie.E1), x)
+    with pytest.raises(ValueError):
+        ad_action(gvec(lie.E) + gvec(lie.E1), x)
