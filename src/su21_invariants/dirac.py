@@ -1,13 +1,27 @@
-"""The tensor product of U(sl3) with the Clifford algebra of p.
+"""U(sl3) (x) C(p), the one non-commutative algebra of the package.
 
 An element pairs a PBW monomial with a Clifford blade; the two tensor legs
-commute with each other, so multiplication is componentwise.  This module
-builds the distinguished K-invariant elements -- the lifts of the
-commutative generators a..j, the Dirac operator D and its k-analogue --
-and runs the exact identity suites tying them together.  The lifts are
+commute with each other, so multiplication is componentwise: the PBW
+rewriting of ``enveloping`` on the left leg, the Clifford rewriting of
+``clifford`` on the right.  U(sl3) and C(p) are the commuting subalgebras
+U(sl3) (x) 1 and 1 (x) C(p): an element of either is a ``UCElement``
+whose keys all carry the unit blade or the unit monomial, and their
+letters are ``u_gen`` and ``c_gen`` (``u_vec`` and ``c_vec`` for vectors).
+
+On these letters the module builds the action map of k on p in closed
+form,
+
+    alpha(z) = -1/4 sum_i [z, b_i] d_i
+
+over trace-form-dual bases (b_i, d_i) of p (Huang and Pandzic, Dirac
+Operators in Representation Theory, 2.3; no linear system is solved);
+the quadratic Casimir element of U(sl3) from dual bases of the trace
+form and the cubic central element from a, b, c, d; and the
+distinguished K-invariant elements -- the lifts of the commutative
+generators a..j, the Dirac operator D and its k-analogue.  The lifts are
 the formulas of ``symext.InvariantGenerators.from_letters`` with the
 letters of g taken in U(sl3) and those of p in C(p), multiplied in the
-order written.  The suites check:
+order written.  The exact identity suites tie them together; they check:
 
   * the ten symmetrization/Chevalley transfer identities,
   * the six identities reducing the generating set to five elements,
@@ -18,10 +32,10 @@ order written.  The suites check:
   * the expressions of the two central elements of U(sl3).
 
 Everything is exact arithmetic on ``int`` and ``Fraction`` coefficients
-(``linalg.exact``): the lifts, D and D^k are integral, so their products
-stay in integers until a rational scalar such as 3/2 enters.  A failed
-check reports the full residual element, which is what localizes a
-convention error.
+(``linalg.exact``): the lifts and D are integral, so their products stay
+in integers until a rational scalar such as the -1/4 of alpha or 3/2
+enters.  A failed check reports the full residual element, which is what
+localizes a convention error.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from .lie import GVector
 from .linalg import SparseElement
 from .report import CheckResult, VerificationReport
 
-ZERO_EXPS = (0,) * 8
+ZERO_EXPS = env.ZERO_EXPS
 
 
 def _add_tensor_terms(out: dict, ue, c_items, scale) -> None:
@@ -81,19 +95,53 @@ def uc_one() -> UCElement:
     return uc_scalar(1)
 
 
-def embed_u(x: env.UElement) -> UCElement:
-    return UCElement({(k, 0): v for k, v in x.coeffs.items()})
+def u_vec(v: GVector) -> UCElement:
+    """v in g as the element v (x) 1."""
+    return UCElement({(env._inc(ZERO_EXPS, i), 0): c for i, c in v.coeffs.items()})
 
 
-def embed_c(x: cl.CElement) -> UCElement:
-    return UCElement({(ZERO_EXPS, m): v for m, v in x.coeffs.items()})
+def c_vec(v: GVector) -> UCElement:
+    """v in p as the element 1 (x) v."""
+    out = {}
+    for i, c in v.coeffs.items():
+        if i not in lie.P_SET:
+            raise ValueError("vector is not in p")
+        out[(ZERO_EXPS, 1 << (i - lie.E1))] = c
+    return UCElement(out)
+
+
+def u_gen(i: int) -> UCElement:
+    """The basis letter i of g in the U-leg."""
+    return u_vec(lie.gvec(i))
+
+
+def c_gen(i: int) -> UCElement:
+    """The basis letter i of p in the C-leg; ValueError off p."""
+    return c_vec(lie.gvec(i))
+
+
+def alpha(z: GVector) -> UCElement:
+    """The action map k -> C(p): alpha(z) = -1/4 sum_i [z, b_i] d_i.
+
+    The sum runs over the trace-form-dual bases (b_i, d_i) of p in
+    ``lie.P_DUAL_PAIRS``.  It is the closed form of the composite
+    k -> so(p) -> C(p) for the relation v w + w v = -2 B(v, w)
+    (Huang and Pandzic, Dirac Operators in Representation Theory, 2.3),
+    and it satisfies [alpha(z), v] = [z, v] for every v in p.
+    """
+    if not z.coeffs.keys() <= lie.K_SET:
+        raise ValueError("alpha is defined on k only")
+    out = UCElement()
+    for b, d in lie.P_DUAL_PAIRS:
+        out = out + c_vec(lie.bracket(z, lie.gvec(b))) * c_gen(d)
+    return Fraction(-1, 4) * out
 
 
 def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     """Symmetrize the symmetric leg, Chevalley-map the exterior leg."""
     out = {}
     for (exps, mask), q in x.coeffs.items():
-        c_items = cl.chevalley_mask(mask).coeffs.items()
+        c_items = cl.chevalley_items(mask)
         for ue, uc in env._symmetrize_items(exps):
             _add_tensor_terms(out, ue, c_items, q * uc)
     return UCElement(out)
@@ -101,16 +149,12 @@ def sigma_tau(x: symext.SymTensorElement) -> UCElement:
 
 def diagonal_embed(z: GVector) -> UCElement:
     """z (x) 1 + 1 (x) alpha(z), the diagonal copy of k."""
-    return embed_u(env.from_gvector(z)) + embed_c(cl.alpha(z))
+    return u_vec(z) + alpha(z)
 
 
 def diagonal_action(z: GVector, x: UCElement) -> UCElement:
     d = diagonal_embed(z)
     return d * x - x * d
-
-
-def _pair_gens(u_vec: GVector, c_vec: GVector) -> UCElement:
-    return embed_u(env.from_gvector(u_vec)) * embed_c(cl.from_p_gvector(c_vec))
 
 
 def dirac_from_dual_pairs(pairs) -> UCElement:
@@ -124,7 +168,7 @@ def dirac_from_dual_pairs(pairs) -> UCElement:
                 raise ValueError("bases are not dual for the trace form")
     out = UCElement()
     for v, d in pairs:
-        out = out + _pair_gens(v, d)
+        out = out + u_vec(v) * c_vec(d)
     return out
 
 
@@ -166,8 +210,36 @@ def dk_element(pairs=None) -> UCElement:
         pairs = k_dual_pairs()
     out = UCElement()
     for z, zd in pairs:
-        out = out + embed_u(env.from_gvector(z)) * embed_c(cl.alpha(zd))
+        out = out + u_vec(z) * alpha(zd)
     return out
+
+
+@lru_cache(maxsize=None)
+def casimir_omega() -> UCElement:
+    """The degree-two central element of U(g): sum_i z_i z^i over the
+    trace-form-dual bases of k (``k_dual_pairs``) and of p."""
+    out = UCElement()
+    for z, zd in k_dual_pairs():
+        out = out + u_vec(z) * u_vec(zd)
+    for b, d in lie.P_DUAL_PAIRS:
+        out = out + u_gen(b) * u_gen(d)
+    return out
+
+
+@lru_cache(maxsize=None)
+def cubic_element() -> UCElement:
+    """The degree-three central element of U(g), expressed through the
+    a, b, c, d written in U(g)."""
+    ua, ub, uc, ud = symext.polynomial_invariants(u_gen)
+    return (
+        Fraction(-3, 2) * ua ** 3
+        + Fraction(3, 2) * (ua * ub)
+        - 3 * (ua * uc)
+        + Fraction(9, 2) * (ua * ua)
+        - 3 * ua
+        + 3 * ud
+        - Fraction(3, 2) * ub
+    )
 
 
 def _cartan_dual_of_weight(w) -> GVector:
@@ -208,9 +280,7 @@ def rho_k_norm_sq() -> Fraction:
 def lifted_generators() -> symext.InvariantGenerators:
     """Lifts of the ten commutative invariants to U(sl3) (x) C(p): the same
     formulas, with the g-letters in U(sl3) and the p-letters in C(p)."""
-    return symext.InvariantGenerators.from_letters(
-        lambda i: embed_u(env.u_gen(i)), lambda i: embed_c(cl.c_gen(i))
-    )
+    return symext.InvariantGenerators.from_letters(u_gen, c_gen)
 
 
 def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:
@@ -335,7 +405,7 @@ def verify_dirac_square() -> VerificationReport:
     )
     D = dirac_operator()
     lhs = D * D
-    rhs = -(embed_u(env.casimir_omega()) + rg * uc_one()) + (
+    rhs = -(casimir_omega() + rg * uc_one()) + (
         diagonal_casimir() + rk * uc_one()
     )
     checks.append(
@@ -388,13 +458,13 @@ def verify_abelian_commutators() -> VerificationReport:
 def verify_casimir_expressions() -> VerificationReport:
     """The quadratic and cubic central elements: expressions and centrality."""
     lift = lifted_generators()
-    omega = env.casimir_omega()
-    cub = env.cubic_element()
+    omega = casimir_omega()
+    cub = cubic_element()
     checks = [
         _residual_check(
             "omega-expression",
             "Omega = 3/2 a~^2 + b~/2 + 2 c~ - 3 a~",
-            embed_u(omega),
+            omega,
             Fraction(3, 2) * (lift.a * lift.a)
             + Fraction(1, 2) * lift.b
             + 2 * lift.c
@@ -403,7 +473,7 @@ def verify_casimir_expressions() -> VerificationReport:
         _residual_check(
             "cub-expression",
             "cub = -3/2 a~^3 + 3/2 a~ b~ - 3 a~ c~ + 9/2 a~^2 - 3 a~ + 3 d~ - 3/2 b~",
-            embed_u(cub),
+            cub,
             Fraction(-3, 2) * lift.a ** 3
             + Fraction(3, 2) * (lift.a * lift.b)
             - 3 * (lift.a * lift.c)
@@ -418,9 +488,13 @@ def verify_casimir_expressions() -> VerificationReport:
     for name, elt in (("omega", omega), ("cub", cub)):
         bad = []
         for gi in range(lie.DIM):
-            com = env.u_commutator(elt, env.u_gen(gi))
+            x = u_gen(gi)
+            com = elt * x - x * elt
             if not com.is_zero():
-                bad.append("[%s, %s] = %s" % (name, lie.BASIS_NAMES[gi], expr.format_u(com)))
+                bad.append(
+                    "[%s, %s] = %s"
+                    % (name, lie.BASIS_NAMES[gi], expr.format_tensor(com, "*"))
+                )
         checks.append(
             CheckResult(
                 "%s-central" % name,

@@ -19,6 +19,11 @@ they admit and the algebra the operators act in:
     enveloping  U(sl3) with normal-form products
     clifford    C(p); symbols E1 E2 F1 F2
 
+The enveloping and clifford contexts both parse into ``dirac.UCElement``,
+U(sl3) as U(sl3) (x) 1 and C(p) as 1 (x) C(p).  An enveloping element
+prints with ``format_tensor``, whose unit-blade terms show the U-leg
+alone; a clifford element prints with ``format_c``, the blade of each key.
+
 H and a abbreviate H1 - H2 and H1 + H2.  Parentheses nest at most
 MAX_NESTING (100) levels deep, and an exponent is at most MAX_EXPONENT
 (32): the cost of a power grows quickly with its exponent, and (E+F)^32
@@ -37,10 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from . import clifford as cl
-from . import enveloping as env
-from . import lie
-from . import symext
+from . import dirac, lie, symext
 
 CONTEXTS = ("symmetric", "enveloping", "clifford", "tensor")
 MAX_NESTING = 100
@@ -272,10 +274,10 @@ def parse_element(text: str, context: str):
         ext = _symbols(symext.ext_gen, lie.P_INDICES) if tensor else {}
         parser = _Parser(tokens, _symbols(symext.sym_gen), ext, symext.scalar, tensor)
     elif context == "enveloping":
-        parser = _Parser(tokens, _symbols(env.u_gen), {}, env.u_scalar, False)
+        parser = _Parser(tokens, _symbols(dirac.u_gen), {}, dirac.uc_scalar, False)
     else:
-        letters = _symbols(cl.c_gen, lie.P_INDICES)
-        parser = _Parser(tokens, letters, {}, cl.c_scalar, False)
+        letters = _symbols(dirac.c_gen, lie.P_INDICES)
+        parser = _Parser(tokens, letters, {}, dirac.uc_scalar, False)
     return parser.parse()
 
 
@@ -337,17 +339,12 @@ def format_tensor(x, sep="^^") -> str:
     return _join_terms(terms)
 
 
-def format_u(x) -> str:
-    terms = []
-    for key in sorted(x.coeffs, key=lambda k: (sum(k), k), reverse=True):
-        terms.append((x.coeffs[key], _exps_str(key)))
-    return _join_terms(terms)
-
-
 def format_c(x) -> str:
+    """Print an element of C(p): a U (x) C element whose keys all carry
+    the unit monomial, written as a word in the C-leg alone."""
     terms = []
-    for mask in sorted(x.coeffs, key=lambda m: (m.bit_count(), m), reverse=True):
-        terms.append((x.coeffs[mask], _mask_str(mask, "*")))
+    for key in sorted(x.coeffs, key=lambda k: (k[1].bit_count(), k), reverse=True):
+        terms.append((x.coeffs[key], _mask_str(key[1], "*")))
     return _join_terms(terms)
 
 
@@ -355,7 +352,7 @@ def format_element(x, context: str) -> str:
     if context in ("symmetric", "tensor"):
         return format_tensor(x)
     if context == "enveloping":
-        return format_u(x)
+        return format_tensor(x, "*")
     if context == "clifford":
         return format_c(x)
     raise ValueError("unknown context %r" % context)

@@ -549,7 +549,8 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     Every key of D carries a p-letter in its U-leg; the same must hold for
     the whole two-sided slice of the ideal, checked by comparing the rank
     of the slice with the rank of its projection away from the pure-k
-    coordinates.
+    coordinates.  One elimination gives both: with the pure-k columns
+    last, the echelon rows that lead on another column span the projection.
     """
     check_slice_bound(bound)
     D = dirac.dirac_operator()
@@ -566,11 +567,13 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
         for _, v, dv in members:
             if du + dv <= bound:
                 products.append(u * D * v)
-    rows, keys = rows_from_elements(products)
-    full_rank = linalg.rank_of_rows(rows)
-    keep = {i for i, (e, _m) in enumerate(keys) if any(e[4:])}
-    projected = [{c: v for c, v in row.items() if c in keep} for row in rows]
-    proj_rank = linalg.rank_of_rows(projected)
+    keys = sorted(
+        {k for x in products for k in x.coeffs}, key=lambda k: (not any(k[0][4:]), k)
+    )
+    rows, _ = rows_from_elements(products, keys)
+    pivots = {}
+    full_rank = linalg.rank_of_rows(rows, pivots)
+    proj_rank = sum(1 for col in pivots if any(keys[col][0][4:]))
     checks.append(
         CheckResult(
             "slice-rank-bound-%d" % bound,

@@ -28,9 +28,10 @@ for a fixed column order.
 ``SparseElement`` is the same ``{key: value}`` representation seen as an
 element of an algebra.  It carries the linear structure (normalization,
 sums, negation, scalar multiples), powers and equality for every algebra
-of the package: g, S(g) (x) Lambda(p), U(g), C(p) and U(g) (x) C(p).  A
-subclass supplies only its unit key, the degree of one key, the product
-of two elements as a ``{key: value}`` dict, and its printed form.
+of the package: g, S(g) (x) Lambda(p) and U(g) (x) C(p), which holds U(g)
+and C(p) as its two legs.  A subclass supplies only its unit key, the
+degree of one key, the product of two elements as a ``{key: value}``
+dict, and its printed form.
 """
 
 from __future__ import annotations

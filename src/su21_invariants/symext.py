@@ -264,9 +264,9 @@ def polynomial_invariants(sym) -> tuple:
     """The invariants a, b, c, d written in the letter constructor sym.
 
     sym(i) is the basis letter i of g in the left tensor leg: ``sym_gen``
-    in S(g) (x) Lambda(p), ``enveloping.u_gen`` in U(g), or its image in
-    U(g) (x) C(p).  Products are taken in the order written, which fixes
-    the lifts in U(g); b is written symmetrized, H H + 2 (E F + F E).
+    in S(g) (x) Lambda(p), ``dirac.u_gen`` in U(g) (x) C(p).  Products are
+    taken in the order written, which fixes the lifts in U(g); b is
+    written symmetrized, H H + 2 (E F + F E).
     """
     sh, se, sf, se1, se2, sf1, sf2 = _letters(sym)
     return (

@@ -5,35 +5,32 @@ from fractions import Fraction
 import pytest
 
 from su21_invariants import lie, symext
-from su21_invariants.clifford import (
-    CElement,
+from su21_invariants.clifford import chevalley_items
+from su21_invariants.dirac import (
+    UCElement,
     alpha,
     c_gen,
-    c_one,
-    c_scalar,
-    chevalley_mask,
-    from_p_gvector,
+    c_vec,
+    sigma_tau,
+    uc_one,
+    uc_scalar,
 )
-from su21_invariants.dirac import sigma_tau
 from su21_invariants.lie import gvec
 
 ALL_MASKS = list(range(16))
 
 
 def _blade(mask):
-    return CElement({mask: 1})
+    return UCElement({((0,) * 8, mask): 1})
 
 
 def _commutator(x, y):
     return x * y - y * x
 
 
-def _chevalley(x):
-    """Chevalley image of a purely exterior element of S(g) (x) Lambda(p):
-    the Clifford leg of sigma x tau, whose U leg is then the unit."""
-    image = sigma_tau(x)
-    assert not any(any(exps) for exps, _mask in image.coeffs)
-    return CElement({mask: v for (_exps, mask), v in image.coeffs.items()})
+def _chevalley_blade(mask):
+    """The Chevalley image of one blade as an element of C(p)."""
+    return UCElement({((0,) * 8, m): v for m, v in chevalley_items(mask)})
 
 
 def test_defining_relation_on_all_pairs():
@@ -41,13 +38,13 @@ def test_defining_relation_on_all_pairs():
         for j in lie.P_INDICES:
             vi, vj = c_gen(i), c_gen(j)
             b = lie.trace_form(gvec(i), gvec(j))
-            assert vi * vj + vj * vi == c_scalar(-2 * b)
+            assert vi * vj + vj * vi == uc_scalar(-2 * b)
 
 
 def test_isotropic_squares_and_pairing():
     e1, f1 = c_gen(lie.E1), c_gen(lie.F1)
     assert (e1 * e1).is_zero()
-    assert e1 * f1 + f1 * e1 == c_scalar(-2)
+    assert e1 * f1 + f1 * e1 == uc_scalar(-2)
     blade = e1 * f1
     assert blade * blade == -2 * blade
 
@@ -61,27 +58,27 @@ def test_associativity_on_all_basis_triples():
 
 
 def test_chevalley_degree_one_and_scalars():
-    assert chevalley_mask(0) == c_one()
+    assert _chevalley_blade(0) == uc_one()
     for i in lie.P_INDICES:
-        assert chevalley_mask(1 << (i - lie.E1)) == c_gen(i)
+        assert _chevalley_blade(1 << (i - lie.E1)) == c_gen(i)
 
 
 def test_chevalley_of_invariant_two_form():
-    got = chevalley_mask(0b0101) + chevalley_mask(0b1010)
-    want = _blade(0b0101) + _blade(0b1010) + 2 * c_one()
+    got = _chevalley_blade(0b0101) + _chevalley_blade(0b1010)
+    want = _blade(0b0101) + _blade(0b1010) + 2 * uc_one()
     assert got == want
 
 
 def test_chevalley_leading_term():
     for mask in ALL_MASKS:
-        diff = chevalley_mask(mask) - _blade(mask)
+        diff = _chevalley_blade(mask) - _blade(mask)
         assert diff.is_zero() or diff.degree() < mask.bit_count()
 
 
 def test_chevalley_accepts_exterior_elements():
     g = symext.named_invariants().g
-    got = _chevalley(g)
-    assert got == _blade(0b0101) + _blade(0b1010) + 2 * c_one()
+    got = sigma_tau(g)
+    assert got == _blade(0b0101) + _blade(0b1010) + 2 * uc_one()
 
 
 def test_chevalley_top_blade_against_permutation_sum():
@@ -89,7 +86,7 @@ def test_chevalley_top_blade_against_permutation_sum():
     from itertools import permutations
 
     bits = [0, 1, 2, 3]
-    acc = CElement()
+    acc = UCElement()
     count = 0
     for perm in permutations(bits):
         inv = sum(
@@ -99,13 +96,13 @@ def test_chevalley_top_blade_against_permutation_sum():
             if perm[x] > perm[y]
         )
         sign = -1 if inv & 1 else 1
-        prod = c_one()
+        prod = uc_one()
         for b in perm:
             prod = prod * c_gen(lie.E1 + b)
         acc = acc + sign * prod
         count += 1
     acc = Fraction(1, count) * acc
-    assert chevalley_mask(0b1111) == acc
+    assert _chevalley_blade(0b1111) == acc
 
 
 def test_chevalley_is_equivariant():
@@ -114,8 +111,8 @@ def test_chevalley_is_equivariant():
         az = alpha(z)
         for mask in ALL_MASKS:
             ext = symext.SymTensorElement({((0,) * 8, mask): 1})
-            lhs = _chevalley(symext.ad_action(z, ext))
-            rhs = _commutator(az, chevalley_mask(mask))
+            lhs = sigma_tau(symext.ad_action(z, ext))
+            rhs = _commutator(az, _chevalley_blade(mask))
             assert lhs == rhs, (lie.BASIS_NAMES[gi], mask)
 
 
@@ -125,7 +122,7 @@ def test_alpha_realizes_the_bracket_on_p():
         az = alpha(z)
         for pi in lie.P_INDICES:
             got = _commutator(az, c_gen(pi))
-            want = from_p_gvector(lie.bracket(z, gvec(pi)))
+            want = c_vec(lie.bracket(z, gvec(pi)))
             assert got == want, (lie.BASIS_NAMES[gi], lie.BASIS_NAMES[pi])
 
 
@@ -142,9 +139,9 @@ def test_alpha_of_center():
     # in; blade bits are E1, E2, F1, F2 from the low bit up (0b0101 = E1 F1).
     half = Fraction(-1, 2)
     values = (
-        (lie.A_VEC, half * (_blade(0b0101) + _blade(0b1010) + 2 * c_one())),
-        (gvec(lie.H1), half * (_blade(0b0101) + c_one())),
-        (gvec(lie.H2), half * (_blade(0b1010) + c_one())),
+        (lie.A_VEC, half * (_blade(0b0101) + _blade(0b1010) + 2 * uc_one())),
+        (gvec(lie.H1), half * (_blade(0b0101) + uc_one())),
+        (gvec(lie.H2), half * (_blade(0b1010) + uc_one())),
         (gvec(lie.E), half * _blade(0b1001)),
         (gvec(lie.F), half * _blade(0b0110)),
     )
@@ -163,3 +160,10 @@ def test_alpha_commutes_where_the_bracket_vanishes():
 def test_alpha_rejects_p_input():
     with pytest.raises(ValueError):
         alpha(gvec(lie.E1))
+
+
+def test_clifford_letters_reject_k_input():
+    with pytest.raises(ValueError):
+        c_gen(lie.E)
+    with pytest.raises(ValueError):
+        c_vec(gvec(lie.H1))

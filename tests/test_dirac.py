@@ -5,31 +5,29 @@ from fractions import Fraction
 
 import pytest
 
-from su21_invariants import clifford as cl
-from su21_invariants import dirac
-from su21_invariants import enveloping as env
-from su21_invariants import lie, symext
+from su21_invariants import dirac, lie, symext
 from su21_invariants.dirac import (
     UCElement,
+    c_gen,
+    casimir_omega,
     diagonal_action,
     diagonal_casimir,
     dirac_from_dual_pairs,
     dirac_operator,
     dk_element,
-    embed_c,
-    embed_u,
     lifted_generators,
     rho_g_norm_sq,
     rho_k_norm_sq,
     sigma_tau,
+    u_gen,
     uc_one,
 )
 from su21_invariants.lie import gvec
 
 
 def test_tensor_legs_commute():
-    left = embed_u(env.u_gen(lie.E)) * embed_c(cl.c_gen(lie.E1))
-    right = embed_c(cl.c_gen(lie.E1)) * embed_u(env.u_gen(lie.E))
+    left = u_gen(lie.E) * c_gen(lie.E1)
+    right = c_gen(lie.E1) * u_gen(lie.E)
     e_exps = tuple(1 if i == lie.E else 0 for i in range(8))
     assert left == right == UCElement({(e_exps, 0b0001): 1})
 
@@ -56,10 +54,10 @@ def test_uc_associativity_random():
 def test_dirac_operator_form():
     D = dirac_operator()
     want = (
-        embed_u(env.u_gen(lie.E1)) * embed_c(cl.c_gen(lie.F1))
-        + embed_u(env.u_gen(lie.E2)) * embed_c(cl.c_gen(lie.F2))
-        + embed_u(env.u_gen(lie.F1)) * embed_c(cl.c_gen(lie.E1))
-        + embed_u(env.u_gen(lie.F2)) * embed_c(cl.c_gen(lie.E2))
+        u_gen(lie.E1) * c_gen(lie.F1)
+        + u_gen(lie.E2) * c_gen(lie.F2)
+        + u_gen(lie.F1) * c_gen(lie.E1)
+        + u_gen(lie.F2) * c_gen(lie.E2)
     )
     assert D == want
 
@@ -98,7 +96,7 @@ def test_all_lifted_elements_are_invariant():
 
 
 def test_single_summand_is_not_invariant():
-    piece = embed_u(env.u_gen(lie.F1)) * embed_c(cl.c_gen(lie.E1))
+    piece = u_gen(lie.F1) * c_gen(lie.E1)
     assert not diagonal_action(gvec(lie.E), piece).is_zero()
 
 
@@ -149,18 +147,18 @@ def test_rho_norms():
 
 
 def _scalar_blade_part(x):
-    """The U-leg coefficient of the unit blade of x."""
-    return env.UElement({e: v for (e, m), v in x.coeffs.items() if m == 0})
+    """The unit-blade terms of x."""
+    return UCElement({(e, m): v for (e, m), v in x.coeffs.items() if m == 0})
 
 
 def test_dirac_square_scalar_component():
     D = dirac_operator()
     lhs = _scalar_blade_part(D * D)
     rhs = (
-        -env.casimir_omega()
-        - 2 * env.u_one()
+        -casimir_omega()
+        - 2 * uc_one()
         + _scalar_blade_part(diagonal_casimir())
-        + Fraction(1, 2) * env.u_one()
+        + Fraction(1, 2) * uc_one()
     )
     assert lhs == rhs
 

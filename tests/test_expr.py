@@ -5,15 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from su21_invariants import clifford as cl
-from su21_invariants import enveloping as env
-from su21_invariants import lie, symext
+from su21_invariants import dirac, lie, symext
 from su21_invariants.expr import (
     ExprError,
     format_c,
     format_element,
     format_tensor,
-    format_u,
     parse_element,
 )
 
@@ -35,7 +32,7 @@ def test_parse_isotropic_square_in_clifford_context():
 def test_parse_shorthand_symbols():
     assert parse_element("a", "symmetric") == symext.from_gvector(lie.A_VEC)
     assert parse_element("H", "symmetric") == symext.from_gvector(lie.H_VEC)
-    assert parse_element("H", "enveloping") == env.from_gvector(lie.H_VEC)
+    assert parse_element("H", "enveloping") == dirac.u_vec(lie.H_VEC)
     assert parse_element("1/2*H - H1", "symmetric") == symext.SymTensorElement(
         {
             ((1, 0, 0, 0, 0, 0, 0, 0), 0): Fraction(-1, 2),
@@ -46,8 +43,8 @@ def test_parse_shorthand_symbols():
 
 def test_parse_enveloping_straightens():
     got = parse_element("F*E", "enveloping")
-    assert got == env.u_gen(lie.F) * env.u_gen(lie.E)
-    assert got != env.u_gen(lie.E) * env.u_gen(lie.F)
+    assert got == dirac.u_gen(lie.F) * dirac.u_gen(lie.E)
+    assert got != dirac.u_gen(lie.E) * dirac.u_gen(lie.F)
 
 
 def test_whitespace_insensitivity():
@@ -133,9 +130,9 @@ def test_round_trip_enveloping():
                 exps[rng.randrange(8)] += 1
             coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             if coeff:
-                terms[tuple(exps)] = coeff
-        x = env.UElement(terms)
-        assert parse_element(format_u(x), "enveloping") == x
+                terms[(tuple(exps), 0)] = coeff
+        x = dirac.UCElement(terms)
+        assert parse_element(format_tensor(x, "*"), "enveloping") == x
 
 
 def test_round_trip_clifford():
@@ -145,9 +142,23 @@ def test_round_trip_clifford():
         for _ in range(rng.randint(1, 4)):
             coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             if coeff:
-                terms[rng.randrange(16)] = coeff
-        x = cl.CElement(terms)
+                terms[((0,) * 8, rng.randrange(16))] = coeff
+        x = dirac.UCElement(terms)
         assert parse_element(format_c(x), "clifford") == x
+
+
+def test_printed_forms_of_noncommutative_contexts():
+    cases = (
+        ("enveloping", "F1*E1 - 3", "E1*F1 - 2*H1 - H2 - 3"),
+        ("clifford", "F2*F1*E2*E1", "E1*E2*F1*F2 - 2*E2*F2 - 2*E1*F1 - 4"),
+        (
+            "clifford",
+            "(E1+F1+E2)^3 + 3/2*F1*E1 - 2",
+            "-3/2*E1*F1 - 2*F1 - 2*E2 - 2*E1 - 5",
+        ),
+    )
+    for context, text, want in cases:
+        assert format_element(parse_element(text, context), context) == want
 
 
 def test_print_parse_canonicalizes():
@@ -159,15 +170,13 @@ def test_print_parse_canonicalizes():
 
 
 def test_format_uc_mentions_both_legs():
-    from su21_invariants import dirac
-
     text = format_tensor(dirac.lifted_generators().e, "*")
     assert "(x)" in text and "F1" in text and "E1" in text
 
 
 def test_format_element_dispatch():
     assert format_element(symext.one(), "tensor") == "1"
-    assert format_element(env.u_one(), "enveloping") == "1"
-    assert format_element(cl.c_one(), "clifford") == "1"
+    assert format_element(dirac.uc_one(), "enveloping") == "1"
+    assert format_element(dirac.uc_one(), "clifford") == "1"
     with pytest.raises(ValueError):
         format_element(symext.one(), "weyl")

@@ -153,13 +153,15 @@ LIFTED_PRODUCTS_DIGEST = "5eef706449dda50f9d749eacf9037c6b057d3ab5268820c1b51bb1
 
 
 def test_generators_and_product_families_are_pinned():
-    from su21_invariants import dirac, enveloping
+    from su21_invariants import dirac
 
     named = symext.named_invariants().as_dict()
     assert {k: _digest(_terms(x)) for k, x in named.items()} == NAMED_DIGESTS
     lifted = dirac.lifted_generators().as_dict()
     assert {k: _digest(_terms(x)) for k, x in lifted.items()} == LIFTED_DIGESTS
-    assert _digest(_terms(enveloping.cubic_element())) == CUBIC_DIGEST
+    cub = dirac.cubic_element()
+    assert all(mask == 0 for _exps, mask in cub.coeffs)
+    assert _digest(sorted((e, v) for (e, _m), v in cub.coeffs.items())) == CUBIC_DIGEST
     for n, want in enumerate(PRODUCT_DIGESTS):
         members = inv.product_basis_members(n)
         assert _digest([(label, _terms(x)) for label, x in members]) == want
@@ -316,6 +318,37 @@ def test_ideal_slice():
         inv.verify_ideal_slice(5)
 
 
+def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
+    # D + 1 has a pure-k key, so its two-sided slice meets the pure-k
+    # subspace; the residual must match the rank of the slice and the rank
+    # of its projection away from the pure-k coordinates, each from scratch.
+    from su21_invariants import dirac
+
+    poisoned = dirac.dirac_operator() + dirac.uc_one()
+    monkeypatch.setattr(inv.dirac, "dirac_operator", lambda: poisoned)
+    for bound in (2, 3):
+        rep = inv.verify_ideal_slice(bound)
+        members = inv.lifted_product_members(bound)
+        products = [
+            u * poisoned * v
+            for _, u, du in members
+            for _, v, dv in members
+            if du + dv <= bound
+        ]
+        rows, keys = inv.rows_from_elements(products)
+        full_rank = linalg.rank_of_rows(rows)
+        keep = {i for i, (e, _m) in enumerate(keys) if any(e[4:])}
+        proj_rank = linalg.rank_of_rows(
+            [{c: v for c, v in row.items() if c in keep} for row in rows]
+        )
+        assert full_rank > proj_rank
+        check = rep.checks[-1]
+        assert check.check_id == "slice-rank-bound-%d" % bound
+        assert not check.passed
+        assert check.residual == "rank drops from %d to %d" % (full_rank, proj_rank)
+        assert not rep.passed
+
+
 def test_graded_keys_order_is_deterministic():
     keys = _all_keys(3)
     assert list(keys) == sorted(keys)
@@ -434,7 +467,7 @@ def _assert_exact(x):
 
 
 def test_coefficients_stay_exact():
-    from su21_invariants import clifford, dirac, enveloping
+    from su21_invariants import clifford, dirac
 
     named = list(symext.named_invariants().as_dict().values())
     for x in named + [x for _, x in inv.product_basis_members(6)]:
@@ -444,10 +477,11 @@ def test_coefficients_stay_exact():
         _assert_exact(x)
     lifted = list(dirac.lifted_generators().as_dict().values())
     D = dirac.dirac_operator()
-    for x in lifted + [D, clifford.chevalley_mask(0b0101)]:
+    for x in lifted + [D]:
         _assert_exact(x)
         assert all(type(v) is int for v in x.coeffs.values())
-    _assert_exact(enveloping.casimir_omega())
+    assert all(type(v) is int for _m, v in clifford.chevalley_items(0b0101))
+    _assert_exact(dirac.casimir_omega())
     for row in lie.FORM_TABLE:
         for v in row:
             assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
