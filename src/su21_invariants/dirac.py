@@ -54,17 +54,6 @@ from .report import CheckResult, VerificationReport
 ZERO_EXPS = env.ZERO_EXPS
 
 
-def _add_tensor_terms(out: dict, ue, c_items, scale) -> None:
-    """Add scale times ue (x) c_items into out, dropping zeros."""
-    for cm, cc in c_items:
-        key = (ue, cm)
-        w = out.get(key, 0) + scale * cc
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
-
 class UCElement(SparseElement):
     """Element of U(sl3) (x) C(p): {(PBW exponents, blade mask): coefficient}."""
 
@@ -73,13 +62,20 @@ class UCElement(SparseElement):
     key_degree = staticmethod(symext.SymTensorElement.key_degree)
 
     def _product(self, other) -> dict:
+        """Componentwise product of keys, summed in place; the zeros that
+        cancellations leave are dropped by the constructor."""
         out = {}
+        get = out.get
+        right = other.coeffs.items()
         for (ea, ma), ca in self.coeffs.items():
-            for (eb, mb), cb in other.coeffs.items():
+            for (eb, mb), cb in right:
                 q = ca * cb
-                c_items = cl.clifford_product_items(ma, mb)
-                for ue, uc in env.pbw_product_items(ea, eb):
-                    _add_tensor_terms(out, ue, c_items, q * uc)
+                u_items = env.pbw_product_items(ea, eb)
+                for cm, cc in cl.clifford_product_items(ma, mb):
+                    qc = q * cc
+                    for ue, uc in u_items:
+                        key = (ue, cm)
+                        out[key] = get(key, 0) + qc * uc
         return out
 
     def __repr__(self):
@@ -140,10 +136,14 @@ def alpha(z: GVector) -> UCElement:
 def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     """Symmetrize the symmetric leg, Chevalley-map the exterior leg."""
     out = {}
+    get = out.get
     for (exps, mask), q in x.coeffs.items():
-        c_items = cl.chevalley_items(mask)
-        for ue, uc in env._symmetrize_items(exps):
-            _add_tensor_terms(out, ue, c_items, q * uc)
+        u_items = env._symmetrize_items(exps)
+        for cm, cc in cl.chevalley_items(mask):
+            qc = q * cc
+            for ue, uc in u_items:
+                key = (ue, cm)
+                out[key] = get(key, 0) + qc * uc
     return UCElement(out)
 
 

@@ -2,15 +2,23 @@
 
 A basis monomial is the ordered product
 H1^a H2^b E^c F^d E1^e E2^f F1^g F2^h, stored as its exponent vector.
-Products are straightened by inserting one generator at a time from the
-left, rewriting  z x -> x z + [z, x]  whenever z sits after x in the
-basis order.  The insertion routine is memoized on (generator, monomial),
-so repeated products share all intermediate straightening work.
+Products are straightened from the right: the letters of the right
+factor are appended to the left factor one at a time, and appending z_g
+to a monomial whose last letter z_h sits after it in the basis order
+rewrites
+
+    rest z_h z_g = (rest z_g) z_h + rest [z_h, z_g].
+
+The work then grows with the length of the right factor, which is the
+short one in this package's traffic (a monomial times a letter, times a
+generator, times D).  The insertion routine is memoized on (generator,
+monomial), so repeated products share all intermediate straightening
+work.
 
 Symmetrization sends a commutative monomial to the average over all
-orderings of its letters.  It is computed by the first-letter recursion
+orderings of its letters.  It is computed by the last-letter recursion
 
-    sigma(m) = (1/deg m) * sum_i  mult_i(m) * z_i * sigma(m / z_i)
+    sigma(m) = (1/deg m) * sum_i  mult_i(m) * sigma(m / z_i) * z_i
 
 which telescopes to the factorial-average definition; the tests pin it
 against the literal brute-force sum in low degree.
@@ -49,25 +57,25 @@ def _dec(exps, i):
     return tuple(out)
 
 
-def _first_letter(exps):
-    for i, e in enumerate(exps):
-        if e:
+def _last_letter(exps):
+    for i in range(7, -1, -1):
+        if exps[i]:
             return i
     return None
 
 
 @lru_cache(maxsize=None)
 def _insert(g: int, exps) -> tuple:
-    """z_g times the normal monomial, as ((exponents, coefficient), ...)."""
-    h = _first_letter(exps)
-    if h is None or g <= h:
+    """The normal monomial times z_g, as ((exponents, coefficient), ...)."""
+    h = _last_letter(exps)
+    if h is None or h <= g:
         return ((_inc(exps, g), 1),)
     rest = _dec(exps, h)
     acc = {}
-    # z_g z_h rest = z_h (z_g rest) + [z_g, z_h] rest
+    # rest z_h z_g = (rest z_g) z_h + rest [z_h, z_g]
     for k1, c1 in _insert(g, rest):
         add_terms(acc, _insert(h, k1), c1)
-    for comp, u in lie.BRACKET_TABLE[g][h].coeffs.items():
+    for comp, u in lie.BRACKET_TABLE[h][g].coeffs.items():
         add_terms(acc, _insert(comp, rest), u)
     return tuple(acc.items())
 
@@ -75,15 +83,13 @@ def _insert(g: int, exps) -> tuple:
 @lru_cache(maxsize=None)
 def pbw_product_items(k1, k2) -> tuple:
     """Normal form of the product of two basis monomials."""
-    items = {k2: 1}
-    word = []
-    for i, e in enumerate(k1):
-        word.extend([i] * e)
-    for g in reversed(word):
-        acc = {}
-        for key, c in items.items():
-            add_terms(acc, _insert(g, key), c)
-        items = acc
+    items = {k1: 1}
+    for g, e in enumerate(k2):
+        for _ in range(e):
+            acc = {}
+            for key, c in items.items():
+                add_terms(acc, _insert(g, key), c)
+            items = acc
     return tuple(items.items())
 
 

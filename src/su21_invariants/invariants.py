@@ -534,7 +534,7 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
     )
 
 
-MAX_SLICE_BOUND = 4
+MAX_SLICE_BOUND = 7
 
 
 def check_slice_bound(bound: int) -> None:
@@ -551,6 +551,8 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     of the slice with the rank of its projection away from the pure-k
     coordinates.  One elimination gives both: with the pure-k columns
     last, the echelon rows that lead on another column span the projection.
+    An echelon row that leads on a pure-k column lives on pure-k columns
+    only; a failing check prints the first such row as its witness.
     """
     check_slice_bound(bound)
     D = dirac.dirac_operator()
@@ -573,15 +575,26 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     rows, _ = rows_from_elements(products, keys)
     pivots = {}
     full_rank = linalg.rank_of_rows(rows, pivots)
-    proj_rank = sum(1 for col in pivots if any(keys[col][0][4:]))
+    pure_k = sorted(col for col in pivots if not any(keys[col][0][4:]))
+    residual = None
+    if pure_k:
+        from . import expr
+
+        witness = dirac.UCElement(
+            {keys[c]: v for c, v in pivots[pure_k[0]].items()}
+        )
+        residual = "rank drops from %d to %d; witness: %s" % (
+            full_rank,
+            full_rank - len(pure_k),
+            expr.format_tensor(witness, "*"),
+        )
     checks.append(
         CheckResult(
             "slice-rank-bound-%d" % bound,
             "the %d products u D v meet the pure-k subspace trivially"
             % len(products),
-            full_rank == proj_rank,
-            None if full_rank == proj_rank
-            else "rank drops from %d to %d" % (full_rank, proj_rank),
+            not pure_k,
+            residual,
         )
     )
     return VerificationReport("ideal-slice", {"max_filtration": bound}, checks)

@@ -7,7 +7,9 @@ fraction-free: rows are rescaled to primitive integer vectors (an all-int
 row needs no ``Fraction`` at all) and combined by integer
 cross-multiplication, with the content divided out after every
 combination, so the elimination loop never performs rational division
-and coefficient growth stays tame.  Division happens only where a result
+and coefficient growth stays tame.  The two multipliers are divided by
+their gcd before they scale anything, so a unit pivot costs a copy of the
+row and no multiplication.  Division happens only where a result
 leaves the integers: the normalization of ``rref_rows`` to unit pivots,
 and the kernel entries of ``kernel_of_rows``.
 
@@ -92,16 +94,25 @@ def _strip_content(row: dict) -> dict:
 
 
 def _combine(row: dict, piv: dict, lead) -> dict:
-    """piv[lead]*row - row[lead]*piv, content removed; kills column lead."""
+    """piv[lead]*row - row[lead]*piv, content removed; kills column lead.
+
+    Both multipliers are first divided by their gcd, which changes the
+    combination by a positive scalar only, so the stripped row is the same.
+    """
     a = row[lead]
     b = piv[lead]
-    new = {c: b * v for c, v in row.items()}
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
+    new = dict(row) if b == 1 else {c: b * v for c, v in row.items()}
+    get = new.get
     for c, v in piv.items():
-        w = new.get(c, 0) - a * v
+        w = get(c, 0) - a * v
         if w:
             new[c] = w
         else:
-            new.pop(c, None)
+            del new[c]
     return _strip_content(new)
 
 

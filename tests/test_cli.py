@@ -180,8 +180,9 @@ def test_all_rejects_slice_bound_before_any_suite(monkeypatch):
         raise AssertionError("a suite ran before the bound was checked")
 
     monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
-    with pytest.raises(ValueError, match="slice bound is capped at 4"):
-        suites.run_suite("all", max_filtration=5)
+    cap = suites.invariants.MAX_SLICE_BOUND
+    with pytest.raises(ValueError, match="slice bound is capped at %d" % cap):
+        suites.run_suite("all", max_filtration=cap + 1)
 
 
 def test_max_degree_is_capped_before_any_suite(monkeypatch, capsys):

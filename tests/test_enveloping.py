@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from su21_invariants import enveloping as env
 from su21_invariants import lie, symext
 from su21_invariants.dirac import (
     UCElement,
@@ -107,7 +108,7 @@ def _symmetrize(exps):
 
 def _factorial_symmetrize(exps):
     """The literal average over all orderings; independent of the module's
-    first-letter recursion."""
+    last-letter recursion."""
     word = _word_of(exps)
     if not word:
         return uc_one()
@@ -196,3 +197,96 @@ def test_cubic_element_is_central():
     assert cub.degree() == 3
     for gi in range(8):
         assert _commutator(cub, u_gen(gi)).is_zero()
+
+
+ZERO = (0,) * 8
+
+
+def _inc(exps, i):
+    out = list(exps)
+    out[i] += 1
+    return tuple(out)
+
+
+def _dec(exps, i):
+    out = list(exps)
+    out[i] -= 1
+    return tuple(out)
+
+
+def _add_into(out, items, scale):
+    for key, v in items.items():
+        w = out.get(key, 0) + scale * v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+
+
+def _ref_first_letter(exps):
+    for i, e in enumerate(exps):
+        if e:
+            return i
+    return None
+
+
+def _ref_insert(g, exps, memo):
+    """z_g times a normal monomial by insertion from the left: the reference
+    straightening, kept here to pin the module's right insertion."""
+    got = memo.get((g, exps))
+    if got is not None:
+        return got
+    h = _ref_first_letter(exps)
+    if h is None or g <= h:
+        out = {_inc(exps, g): 1}
+    else:
+        rest = _dec(exps, h)
+        out = {}
+        # z_g z_h rest = z_h (z_g rest) + [z_g, z_h] rest
+        for k1, c1 in _ref_insert(g, rest, memo).items():
+            _add_into(out, _ref_insert(h, k1, memo), c1)
+        for comp, u in lie.BRACKET_TABLE[g][h].coeffs.items():
+            _add_into(out, _ref_insert(comp, rest, memo), u)
+    memo[(g, exps)] = out
+    return out
+
+
+def _ref_pbw_product(k1, k2, memo):
+    items = {k2: 1}
+    for g in reversed(_word_of(k1)):
+        acc = {}
+        for key, c in items.items():
+            _add_into(acc, _ref_insert(g, key, memo), c)
+        items = acc
+    return items
+
+
+def _monomials_up_to(deg):
+    out = [ZERO]
+    frontier = [ZERO]
+    for _ in range(deg):
+        frontier = sorted({_inc(m, i) for m in frontier for i in range(8)})
+        out.extend(frontier)
+    return out
+
+
+def test_pbw_product_matches_left_insertion_on_all_low_degree_pairs():
+    monos = _monomials_up_to(2)
+    assert len(monos) ** 2 == 2025
+    memo = {}
+    for k1 in monos:
+        for k2 in monos:
+            assert dict(env.pbw_product_items(k1, k2)) == _ref_pbw_product(
+                k1, k2, memo
+            ), (k1, k2)
+
+
+def test_pbw_product_matches_left_insertion_on_random_pairs():
+    rng = random.Random(41)
+    memo = {}
+    for _ in range(200):
+        k1 = _random_monomial(rng, 5)
+        k2 = _random_monomial(rng, 5)
+        assert dict(env.pbw_product_items(k1, k2)) == _ref_pbw_product(
+            k1, k2, memo
+        ), (k1, k2)

@@ -7,6 +7,7 @@ joint kernel of all four k-generators acting on the full degree slice.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 from math import comb
 
@@ -315,13 +316,14 @@ def test_ideal_slice():
         rep = inv.verify_ideal_slice(bound)
         assert rep.passed, rep.to_text()
     with pytest.raises(ValueError):
-        inv.verify_ideal_slice(5)
+        inv.verify_ideal_slice(inv.MAX_SLICE_BOUND + 1)
 
 
 def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
     # D + 1 has a pure-k key, so its two-sided slice meets the pure-k
     # subspace; the residual must match the rank of the slice and the rank
-    # of its projection away from the pure-k coordinates, each from scratch.
+    # of its projection away from the pure-k coordinates, each from scratch,
+    # and its witness must have no p-letter in the U-leg of any term.
     from su21_invariants import dirac
 
     poisoned = dirac.dirac_operator() + dirac.uc_one()
@@ -345,7 +347,12 @@ def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
         check = rep.checks[-1]
         assert check.check_id == "slice-rank-bound-%d" % bound
         assert not check.passed
-        assert check.residual == "rank drops from %d to %d" % (full_rank, proj_rank)
+        drop, witness = check.residual.split("; witness: ")
+        assert drop == "rank drops from %d to %d" % (full_rank, proj_rank)
+        # With the C-legs cut off, no p-letter is left in any term.
+        u_legs = re.sub(r" \(x\) [\w*]+", "", witness)
+        assert witness != "0"
+        assert not any(p in u_legs for p in ("E1", "E2", "F1", "F2")), witness
         assert not rep.passed
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from su21_invariants import linalg
 
@@ -127,3 +128,66 @@ def test_echelon_extended_batch_by_batch_matches_one_pass():
                 assert linalg.echelon_rows(rows[lo:hi], lead, pivots) is pivots
                 assert len(pivots) == linalg.rank_of_rows(rows[:hi])
             assert pivots == linalg.echelon_rows(rows, lead)
+
+
+def _ref_combine(row, piv, lead):
+    """The literal piv[lead]*row - row[lead]*piv with its content divided out."""
+    a, b = row[lead], piv[lead]
+    new = {}
+    for c in set(row) | set(piv):
+        w = b * row.get(c, 0) - a * piv.get(c, 0)
+        if w:
+            new[c] = w
+    g = 0
+    for v in new.values():
+        g = gcd(g, v)
+    return {c: v // g for c, v in new.items()} if g > 1 else new
+
+
+def _ref_echelon(rows, lead):
+    pivots = {}
+    for row in rows:
+        row = linalg._primitive(row)
+        while row:
+            col = lead(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row = _ref_combine(row, pivots[col], col)
+    return pivots
+
+
+# Leading entries: units, negatives, and values sharing factors 2, 3 and 6.
+_LEADS = (1, -1, 2, -2, 3, -4, 6, -6, 9, 12, -18)
+
+
+def _random_int_row(rng, ncols, lead):
+    row = {c: rng.choice((0, 0) + _LEADS) for c in range(ncols)}
+    row[lead] = rng.choice(_LEADS)
+    return {c: v for c, v in row.items() if v}
+
+
+def test_combine_matches_the_cross_multiplied_formula():
+    rng = random.Random(43)
+    for _ in range(400):
+        ncols = rng.randint(1, 7)
+        lead = rng.randrange(ncols)
+        row = _random_int_row(rng, ncols, lead)
+        piv = _random_int_row(rng, ncols, lead)
+        before = (dict(row), dict(piv))
+        got = linalg._combine(row, piv, lead)
+        assert (row, piv) == before
+        assert got == _ref_combine(row, piv, lead), (row, piv, lead)
+        assert lead not in got
+
+
+def test_echelon_pivots_match_the_cross_multiplied_elimination():
+    rng = random.Random(47)
+    for _ in range(80):
+        ncols = rng.randint(1, 8)
+        rows = [
+            _random_int_row(rng, ncols, rng.randrange(ncols))
+            for _ in range(rng.randint(1, 10))
+        ]
+        for lead in (min, max):
+            assert linalg.echelon_rows(rows, lead) == _ref_echelon(rows, lead)
