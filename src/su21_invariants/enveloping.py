@@ -9,11 +9,13 @@ rewrites
 
     rest z_h z_g = (rest z_g) z_h + rest [z_h, z_g].
 
-The work then grows with the length of the right factor, which is the
-short one in this package's traffic (a monomial times a letter, times a
-generator, times D).  The insertion routine is memoized on (generator,
-monomial), so repeated products share all intermediate straightening
-work.
+The work then grows with the length of the right factor.  That suits
+the lifted product basis, where 90% of the distinct products up to
+filtration 10 have the shorter right factor (a monomial times a letter
+or a generator), but not the ideal slice, where a third of the distinct
+products (u D) v at bound 7 have the longer one; ROADMAP records the
+counts.  The insertion routine is memoized on (generator, monomial), so
+repeated products share all intermediate straightening work.
 
 Symmetrization sends a commutative monomial to the average over all
 orderings of its letters.  It is computed by the last-letter recursion

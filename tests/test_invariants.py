@@ -323,7 +323,7 @@ def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
     # D + 1 has a pure-k key, so its two-sided slice meets the pure-k
     # subspace; the residual must match the rank of the slice and the rank
     # of its projection away from the pure-k coordinates, each from scratch,
-    # and its witness must have no p-letter in the U-leg of any term.
+    # and its witness must be the planted 1, with no p-letter in any U-leg.
     from su21_invariants import dirac
 
     poisoned = dirac.dirac_operator() + dirac.uc_one()
@@ -349,9 +349,10 @@ def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
         assert not check.passed
         drop, witness = check.residual.split("; witness: ")
         assert drop == "rank drops from %d to %d" % (full_rank, proj_rank)
+        # The planted unit is the first pure-k echelon row, unscaled.
+        assert witness == "1"
         # With the C-legs cut off, no p-letter is left in any term.
         u_legs = re.sub(r" \(x\) [\w*]+", "", witness)
-        assert witness != "0"
         assert not any(p in u_legs for p in ("E1", "E2", "F1", "F2")), witness
         assert not rep.passed
 
