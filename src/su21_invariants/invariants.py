@@ -246,34 +246,29 @@ def verify_table(max_degree: int = 8) -> VerificationReport:
     return VerificationReport("table", {"max_degree": max_degree}, checks)
 
 
-def _lowering_span(highest: SymTensorElement, steps: int) -> list:
-    """highest together with its iterated images under ad(F)."""
-    f_vec = lie.gvec(lie.F)
-    out = [highest]
-    cur = highest
-    for _ in range(steps):
-        cur = symext.ad_action(f_vec, cur)
-        if cur.is_zero():
+def _highest_weight_string(v: SymTensorElement, weight) -> tuple:
+    """(v is killed by ad(E) and has the stated weight, its ad(F)-string).
+
+    A highest weight vector of weight (w1, w2) has w1 - w2 + 1 terms in its
+    string v, ad(F) v, ...; no more lowering steps than that are taken.
+    """
+    highest = (
+        symext.ad_action(lie.gvec(lie.E), v).is_zero()
+        and symext.key_weight(next(iter(v.coeffs))) == weight
+    )
+    string = [v]
+    for _ in range(weight[0] - weight[1] + 1):
+        lowered = symext.ad_action(lie.gvec(lie.F), string[-1])
+        if lowered.is_zero():
             break
-        out.append(cur)
-    return out
+        string.append(lowered)
+    return highest, string
 
 
-def _span_is_stable(elements) -> bool:
-    rows, keys = rows_from_elements(elements)
-    pivots = linalg.echelon_rows(rows)
-    index = {k: i for i, k in enumerate(keys)}
-    for _, z in _K_GENERATORS:
-        for x in elements:
-            image = symext.ad_action(z, x)
-            row = {}
-            for k, v in image.coeffs.items():
-                if k not in index:
-                    return False
-                row[index[k]] = v
-            if linalg.reduce_against(pivots, row):
-                return False
-    return True
+def _is_ad_k_stable(span) -> bool:
+    """The images of the span under the k-generators add nothing to its rank."""
+    images = [symext.ad_action(z, x) for _, z in _K_GENERATORS for x in span]
+    return rank_of_elements(span + images) == rank_of_elements(span)
 
 
 def _sym_power_family(gens, n: int) -> list:
@@ -287,110 +282,73 @@ def _sym_power_family(gens, n: int) -> list:
     return out
 
 
-def verify_sym_k_decomposition(n: int) -> VerificationReport:
-    """Degree-n symmetric power of the semisimple part of k splits as the
-    top sl(2)-string plus b times the (n-2)nd power."""
+def _verify_sym_decomposition(suite, n, letters, invariant, highest, anchors):
+    """S^n of the span of the letters is the direct sum of the ad(F)-strings
+    of ``highest()``, a list of (vector, weight), and the invariant times
+    S^(n-2).  With r letters, S^n has dimension C(n+r-1, n), the multiples
+    C(n+r-3, n-2), and the strings the difference.  ``anchors`` holds the id
+    suffix and anchor of the highest-weight check, then the anchor of the
+    direct-sum check.
+    """
     if n < 2:
         raise ValueError("the decomposition starts at degree 2")
-    h = symext.from_gvector(lie.H_VEC)
-    e = symext.sym_gen(lie.E)
-    f = symext.sym_gen(lie.F)
-    b = symext.named_invariants().b
-
-    full = _sym_power_family((h, e, f), n)
-    dim_full = rank_of_elements(full)
-    want_full = comb(n + 2, 2)
-
-    top = e ** n
-    ad_e_kills = symext.ad_action(lie.gvec(lie.E), top).is_zero()
-    w = symext.key_weight(next(iter(top.coeffs)))
-    weight_ok = (w.h1 - w.h2) == 2 * n
-
-    string = _lowering_span(top, 2 * n + 1)
-    dim_string = rank_of_elements(string)
-
-    lower = [b * x for x in _sym_power_family((h, e, f), n - 2)]
+    want_full = comb(n + len(letters) - 1, n)
+    want_lower = comb(n + len(letters) - 3, n - 2)
+    want_strings = want_full - want_lower
+    hw_ok, strings = True, []
+    for v, weight in highest():
+        ok, string = _highest_weight_string(v, weight)
+        hw_ok = hw_ok and ok
+        strings += string
+    lower = [invariant * x for x in _sym_power_family(letters, n - 2)]
+    dim_full = rank_of_elements(_sym_power_family(letters, n))
+    dim_strings = rank_of_elements(strings)
     dim_lower = rank_of_elements(lower)
-
-    dim_sum = rank_of_elements(string + lower)
-
+    dim_sum = rank_of_elements(strings + lower)
+    name = "%s-%d" % (suite, n)
     checks = [
         CheckResult(
-            "sym-k-%d-dims" % n,
-            "dims %d + %d = %d in degree %d" % (2 * n + 1, comb(n, 2), want_full, n),
-            dim_full == want_full
-            and dim_string == 2 * n + 1
-            and dim_lower == comb(n, 2),
-            "got %d, %d, %d" % (dim_full, dim_string, dim_lower),
+            name + "-dims",
+            "dims %d + %d = %d in degree %d" % (want_strings, want_lower, want_full, n),
+            (dim_full, dim_strings, dim_lower) == (want_full, want_strings, want_lower),
+            "got %d, %d, %d" % (dim_full, dim_strings, dim_lower),
         ),
+        CheckResult(name + "-" + anchors[0], anchors[1], hw_ok),
         CheckResult(
-            "sym-k-%d-highest-weight" % n,
-            "E^%d is a highest weight vector of weight %d" % (n, 2 * n),
-            ad_e_kills and weight_ok,
-        ),
-        CheckResult(
-            "sym-k-%d-direct-sum" % n,
-            "top string and b-multiples meet trivially and fill the space",
-            dim_sum == dim_string + dim_lower == want_full,
+            name + "-direct-sum",
+            anchors[2],
+            dim_sum == dim_strings + dim_lower == want_full,
             "combined rank %d" % dim_sum,
         ),
     ]
-    return VerificationReport("sym-k-%d" % n, {"n": n}, checks)
+    return VerificationReport(name, {"n": n}, checks)
+
+
+def verify_sym_k_decomposition(n: int) -> VerificationReport:
+    """Degree-n symmetric power of the semisimple part of k splits as the
+    top sl(2)-string plus b times the (n-2)nd power."""
+    h, f = symext.from_gvector(lie.H_VEC), symext.sym_gen(lie.F)
+    e = symext.sym_gen(lie.E)
+    return _verify_sym_decomposition(
+        "sym-k", n, (h, e, f), symext.named_invariants().b,
+        lambda: [(e ** n, (n, -n))],
+        ("highest-weight", "E^%d is a highest weight vector of weight %d" % (n, 2 * n),
+         "top string and b-multiples meet trivially and fill the space"),
+    )
 
 
 def verify_sym_p_decomposition(n: int) -> VerificationReport:
     """Degree-n symmetric power of p splits as the highest-weight modules
     generated by E1^(n-i) F2^i plus c times the (n-2)nd power."""
-    if n < 2:
-        raise ValueError("the decomposition starts at degree 2")
-    gens = tuple(symext.sym_gen(i) for i in lie.P_INDICES)
-    c = symext.named_invariants().c
-
-    full = _sym_power_family(gens, n)
-    dim_full = rank_of_elements(full)
-    want_full = comb(n + 3, 3)
-
-    hw_ok = True
-    strings = []
-    e_vec = lie.gvec(lie.E)
+    letters = tuple(symext.sym_gen(i) for i in lie.P_INDICES)
     e1, f2 = symext.sym_gen(lie.E1), symext.sym_gen(lie.F2)
-    for i in range(n + 1):
-        v = e1 ** (n - i) * f2 ** i
-        if not symext.ad_action(e_vec, v).is_zero():
-            hw_ok = False
-        if symext.key_weight(next(iter(v.coeffs))) != (n - i, -i):
-            hw_ok = False
-        strings.extend(_lowering_span(v, n + 1))
-    dim_strings = rank_of_elements(strings)
-
-    lower = [c * x for x in _sym_power_family(gens, n - 2)]
-    dim_lower = rank_of_elements(lower)
-    dim_sum = rank_of_elements(strings + lower)
-
-    checks = [
-        CheckResult(
-            "sym-p-%d-dims" % n,
-            "dims %d + %d = %d in degree %d"
-            % ((n + 1) ** 2, comb(n + 1, 3), want_full, n),
-            dim_full == want_full
-            and dim_strings == (n + 1) ** 2
-            and dim_lower == comb(n + 1, 3),
-            "got %d, %d, %d" % (dim_full, dim_strings, dim_lower),
-        ),
-        CheckResult(
-            "sym-p-%d-highest-weights" % n,
-            "E1^(%d-i) F2^i is a highest weight vector of weight (%d-i, -i)"
-            % (n, n),
-            hw_ok,
-        ),
-        CheckResult(
-            "sym-p-%d-direct-sum" % n,
-            "highest-weight strings and c-multiples meet trivially and fill",
-            dim_sum == dim_strings + dim_lower == want_full,
-            "combined rank %d" % dim_sum,
-        ),
-    ]
-    return VerificationReport("sym-p-%d" % n, {"n": n}, checks)
+    return _verify_sym_decomposition(
+        "sym-p", n, letters, symext.named_invariants().c,
+        lambda: [(e1 ** (n - i) * f2 ** i, (n - i, -i)) for i in range(n + 1)],
+        ("highest-weights",
+         "E1^(%d-i) F2^i is a highest weight vector of weight (%d-i, -i)" % (n, n),
+         "highest-weight strings and c-multiples meet trivially and fill"),
+    )
 
 
 def _wedge(*indices) -> SymTensorElement:
@@ -421,24 +379,18 @@ def verify_ext_decomposition() -> VerificationReport:
         ),
     ]
     checks = []
-    all_vectors = []
     for name, span, hw in pieces:
-        all_vectors.extend(span)
-        stable = _span_is_stable(span)
-        top = span[0]
-        hw_ok = symext.ad_action(lie.gvec(lie.E), top).is_zero()
-        hw_ok = hw_ok and symext.key_weight(next(iter(top.coeffs))) == hw
-        string = _lowering_span(top, len(span) + 1)
+        hw_ok, string = _highest_weight_string(span[0], hw)
         generates = rank_of_elements(string) == len(span) == rank_of_elements(span)
         checks.append(
             CheckResult(
                 "ext-%s" % name,
                 "span is ad(k)-stable with highest weight %s and dim %d"
                 % (hw, len(span)),
-                stable and hw_ok and generates,
+                _is_ad_k_stable(span) and hw_ok and generates,
             )
         )
-    total = rank_of_elements(all_vectors)
+    total = rank_of_elements([x for _, span, _ in pieces for x in span])
     checks.append(
         CheckResult(
             "ext-total",

@@ -13,13 +13,13 @@ row and no multiplication.  Division happens only where a result
 leaves the integers: the normalization of ``rref_rows`` to unit pivots,
 and the kernel entries of ``kernel_of_rows``.
 
-Ranks, membership tests and ``rref_rows`` eliminate on the smallest
-column of each row.  ``kernel_of_rows`` eliminates on the largest column
-instead and back-substitutes in increasing pivot order; each kernel
-vector then has its smallest column at its own free column, with value 1,
-and no other kernel vector touches that column, so the kernel comes out
-in reduced echelon form for the original column order without a second
-reduction.  Nothing in the package calls ``rref_rows`` any more; it stays
+Ranks and ``rref_rows`` eliminate on the smallest column of each row, and
+a membership question is a comparison of two ranks.  ``kernel_of_rows``
+eliminates on the largest column instead and back-substitutes in
+increasing pivot order; each kernel vector then has its smallest column
+at its own free column, with value 1, and no other kernel vector touches
+that column, so the kernel comes out in reduced echelon form for the
+original column order without a second reduction.  Nothing in the package calls ``rref_rows`` any more; it stays
 as the reference canonical form that the tests compare kernels with, and
 the benchmark's per-layer spans (``bench/tracing.py``) still wrap it.
 
@@ -136,18 +136,6 @@ def echelon_rows(rows, lead=min, pivots=None) -> dict:
                 break
             row = _combine(row, piv, col)
     return pivots
-
-
-def reduce_against(pivots: dict, row) -> dict:
-    """Reduce a row against an echelon set; empty result means membership."""
-    row = _primitive(row)
-    while row:
-        lead = min(row)
-        piv = pivots.get(lead)
-        if piv is None:
-            break
-        row = _combine(row, piv, lead)
-    return row
 
 
 def rank_of_rows(rows, pivots=None) -> int:

@@ -236,6 +236,26 @@ def test_ext_decomposition_report():
     assert len(rep.checks) == 11
 
 
+def test_sym_decompositions_start_at_degree_two():
+    for verify in (inv.verify_sym_k_decomposition, inv.verify_sym_p_decomposition):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError):
+                verify(n)
+
+
+def test_span_that_is_not_ad_k_stable_fails_the_rank_test():
+    e1, e2, f1 = (symext.ext_gen(i) for i in (lie.E1, lie.E2, lie.F1))
+    # ad(F) E1 = E2 leaves the span of E1; ad(E) (E1^^F1) = -E1^^F2 leaves
+    # the span of E1^^F1.
+    assert not inv._is_ad_k_stable([e1])
+    assert not inv._is_ad_k_stable([e1 * f1])
+    assert inv._is_ad_k_stable([e1, e2])
+    ok, string = inv._highest_weight_string(e1, (1, 0))
+    assert ok and string == [e1, e2]
+    ok, _ = inv._highest_weight_string(e1 * f1, (0, 0))
+    assert not ok
+
+
 def test_ext_decomposition_highest_weight_example():
     x = symext.ext_gen(lie.E1) * symext.ext_gen(lie.F2)
     assert symext.ad_action(gvec(lie.E), x).is_zero()

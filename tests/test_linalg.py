@@ -109,13 +109,6 @@ def test_rref_pivots_are_one_and_reduced():
                 assert other not in row
 
 
-def test_membership_reduction():
-    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    pivots = linalg.echelon_rows(rows)
-    assert not linalg.reduce_against(pivots, {0: 1, 2: -1})
-    assert linalg.reduce_against(pivots, {0: 1, 2: 1})
-
-
 def test_echelon_extended_batch_by_batch_matches_one_pass():
     rng = random.Random(31)
     for _ in range(40):
