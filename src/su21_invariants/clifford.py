@@ -18,16 +18,15 @@ action map ``dirac.alpha`` of k on p is built from these products.
 
 The pairings B(v, w) of the basis are integers and the insertion cache
 starts from the integer 1, so Clifford products stay in ``int``
-arithmetic; the 1/n! of the Chevalley map is the only division here, and
-a coefficient is a ``Fraction`` only when it is not integral.
+arithmetic; the 1/n of each step of the Chevalley recursion is the only
+division here, and a coefficient is a ``Fraction`` only when it is not
+integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
 
 from . import lie
 from .linalg import add_terms, exact
@@ -79,25 +78,21 @@ def clifford_product_items(m1: int, m2: int) -> tuple:
     return tuple(_word_product(bits, {m2: 1}).items())
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def chevalley_items(mask: int) -> tuple:
     """Alternating average of all orderings of the blade's letters, as
-    ((mask, coefficient), ...)."""
+    ((mask, coefficient), ...), by the first-letter recursion
+
+        tau(m) = (1/n) * sum_k (-1)^pos(k) v_k tau(m without k)
+
+    over the n letters k of m, pos(k) being the place of k among them.
+    """
+    if mask == 0:
+        return ((0, 1),)
     bits = [k for k in range(4) if mask >> k & 1]
-    n = len(bits)
-    if n <= 1:
-        return ((mask, 1),)
     acc = {}
-    for perm in permutations(bits):
-        add_terms(acc, _word_product(perm, {0: 1}).items(), _perm_sign(perm))
-    fact = factorial(n)
-    return tuple((m, exact(Fraction(c, fact))) for m, c in acc.items())
+    for pos, k in enumerate(bits):
+        sign = -1 if pos & 1 else 1
+        for m, c in chevalley_items(mask ^ (1 << k)):
+            add_terms(acc, _cliff_insert(k, m), sign * c)
+    return tuple((m, exact(Fraction(c, len(bits)))) for m, c in acc.items())

@@ -157,15 +157,17 @@ def diagonal_action(z: GVector, x: UCElement) -> UCElement:
     return d * x - x * d
 
 
+def _check_dual(pairs) -> None:
+    """Raise ValueError unless B(v_i, d_j) is 1 for i = j and 0 otherwise."""
+    for i, (v, _) in enumerate(pairs):
+        for j, (_, d) in enumerate(pairs):
+            if lie.trace_form(v, d) != (1 if i == j else 0):
+                raise ValueError("bases are not dual for the trace form")
+
+
 def dirac_from_dual_pairs(pairs) -> UCElement:
     """Sum b_i (x) d_i over a trace-form-dual pair of bases of p."""
-    vecs = [p[0] for p in pairs]
-    duals = [p[1] for p in pairs]
-    for i, v in enumerate(vecs):
-        for j, d in enumerate(duals):
-            want = Fraction(1 if i == j else 0)
-            if lie.trace_form(v, d) != want:
-                raise ValueError("bases are not dual for the trace form")
+    _check_dual(pairs)
     out = UCElement()
     for v, d in pairs:
         out = out + u_vec(v) * c_vec(d)
@@ -188,10 +190,7 @@ def k_dual_pairs() -> tuple:
         (lie.H_VEC, Fraction(1, 2) * lie.H_VEC),
         (lie.A_VEC, Fraction(3, 2) * lie.A_VEC),
     )
-    for i, (v, _) in enumerate(pairs):
-        for j, (_, d) in enumerate(pairs):
-            if lie.trace_form(v, d) != Fraction(1 if i == j else 0):
-                raise AssertionError("k dual pairs are not dual")
+    _check_dual(pairs)
     return pairs
 
 

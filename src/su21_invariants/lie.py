@@ -11,8 +11,9 @@ E1, E2, F1, F2 spanning p, the -1 eigenspace of the Cartan involution.
 
 Structure constants and the trace form B(x, y) = tr(xy) are generated at
 import time from the defining 3x3 matrices and then frozen; downstream
-modules consume only the tables.  Table entries follow the coefficient
-policy of ``linalg.exact``: an ``int`` when integral, else a ``Fraction``.
+modules consume only the tables.  Matrix and table entries follow the
+coefficient policy of ``linalg.exact``: an ``int`` when integral, else a
+``Fraction``, which only the diagonal entries of H1 and H2 need.
 """
 
 from __future__ import annotations
@@ -36,16 +37,13 @@ DIM = len(BASIS_NAMES)
 
 def _unit(r, c):
     return tuple(
-        tuple(Fraction(1 if (i, j) == (r, c) else 0) for j in range(3))
-        for i in range(3)
+        tuple(1 if (i, j) == (r, c) else 0 for j in range(3)) for i in range(3)
     )
 
 
-def _diag(a, b, c):
-    vals = (Fraction(a), Fraction(b), Fraction(c))
+def _diag(*vals):
     return tuple(
-        tuple(vals[i] if i == j else Fraction(0) for j in range(3))
-        for i in range(3)
+        tuple(vals[i] if i == j else 0 for j in range(3)) for i in range(3)
     )
 
 
@@ -100,7 +98,7 @@ def gvec(i: int) -> GVector:
 
 
 def matrix_of(v: GVector):
-    acc = [[Fraction(0)] * 3 for _ in range(3)]
+    acc = [[0] * 3 for _ in range(3)]
     for i, c in v.coeffs.items():
         m = BASIS_MATRICES[i]
         for r in range(3):
@@ -123,7 +121,7 @@ def from_matrix(m) -> GVector:
             F2: m[2][1],
         }
     )
-    if matrix_of(v) != tuple(tuple(Fraction(x) for x in row) for row in m):
+    if matrix_of(v) != tuple(map(tuple, m)):
         raise ValueError("matrix is not in sl(3)")
     return v
 

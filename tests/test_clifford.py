@@ -82,27 +82,29 @@ def test_chevalley_accepts_exterior_elements():
 
 
 def test_chevalley_top_blade_against_permutation_sum():
-    # 24-term alternating sum computed through the public product only
+    # The n!-term alternating sum of every blade, computed through the
+    # public product only; the top blade has 24 terms.
     from itertools import permutations
 
-    bits = [0, 1, 2, 3]
-    acc = UCElement()
-    count = 0
-    for perm in permutations(bits):
-        inv = sum(
-            1
-            for x in range(4)
-            for y in range(x + 1, 4)
-            if perm[x] > perm[y]
-        )
-        sign = -1 if inv & 1 else 1
-        prod = uc_one()
-        for b in perm:
-            prod = prod * c_gen(lie.E1 + b)
-        acc = acc + sign * prod
-        count += 1
-    acc = Fraction(1, count) * acc
-    assert _chevalley_blade(0b1111) == acc
+    for mask in ALL_MASKS:
+        bits = [b for b in range(4) if mask >> b & 1]
+        acc = UCElement()
+        count = 0
+        for perm in permutations(bits):
+            inv = sum(
+                1
+                for x in range(len(perm))
+                for y in range(x + 1, len(perm))
+                if perm[x] > perm[y]
+            )
+            sign = -1 if inv & 1 else 1
+            prod = uc_one()
+            for b in perm:
+                prod = prod * c_gen(lie.E1 + b)
+            acc = acc + sign * prod
+            count += 1
+        acc = Fraction(1, count) * acc
+        assert _chevalley_blade(mask) == acc, mask
 
 
 def test_chevalley_is_equivariant():

@@ -239,7 +239,7 @@ def test_ext_decomposition_report():
 def test_sym_decompositions_start_at_degree_two():
     for verify in (inv.verify_sym_k_decomposition, inv.verify_sym_p_decomposition):
         for n in (1, 0, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="starts at degree 2"):
                 verify(n)
 
 
