@@ -34,6 +34,15 @@ _CARTAN_TABLE = (
 )
 
 
+def _killing_form(i: int, j: int):
+    """tr(ad x_i ad x_j), read from the structure constants alone."""
+    total = 0
+    for k in range(lie.DIM):
+        for m, c in lie.BRACKET_TABLE[j][k].coeffs.items():
+            total += c * lie.BRACKET_TABLE[i][m].coeffs.get(k, 0)
+    return total
+
+
 def _suite_lie(config) -> VerificationReport:
     checks = []
     basis = [lie.gvec(i) for i in range(lie.DIM)]
@@ -91,14 +100,14 @@ def _suite_lie(config) -> VerificationReport:
         1
         for i in range(lie.DIM)
         for j in range(lie.DIM)
-        if lie.trace_form(basis[i], basis[j])
-        != lie.mat_trace(lie.mat_mul(lie.BASIS_MATRICES[i], lie.BASIS_MATRICES[j]))
+        if _killing_form(i, j) != 6 * lie.trace_form(basis[i], basis[j])
     )
     checks.append(
         CheckResult(
             "trace-form",
-            "B(x,y) = tr(xy) for the defining matrices on all pairs",
+            "tr(ad x ad y) = 6 B(x,y) on all 64 basis pairs",
             bad == 0,
+            None if bad == 0 else "%d failing pairs" % bad,
         )
     )
 
@@ -152,6 +161,7 @@ def _suite_lie(config) -> VerificationReport:
 def _suite_lemmas(config) -> VerificationReport:
     reports = [invariants.verify_sym_k_decomposition(n) for n in range(2, 7)]
     reports += [invariants.verify_sym_p_decomposition(n) for n in range(2, 6)]
+    reports.append(invariants.verify_ext_decomposition())
     return merge_reports("lemmas", {}, reports)
 
 

@@ -41,8 +41,8 @@ def test_verify_all_report_digests_are_pinned():
     rep = suites.run_suite("all")
     text = hashlib.sha256(rep.to_text().encode()).hexdigest()
     payload = hashlib.sha256(rep.to_json().encode()).hexdigest()
-    assert text == "62792552b1a6f2020dd337e2501bc8b69a70a22cb88c1d6bd6a06d997f5b4e50"
-    assert payload == "99c51d748509da914a361928d774ec947392264191d57c3c2e5e7acdcdd18357"
+    assert text == "21a0f0fd1555b63dc6a4986c17d41dd00e20b460d20818ed1cc2957d86faf7d8"
+    assert payload == "dde42b92a5d2c54968e8b5077d7a589bfa115a5c54512c3a7d24f0aa77f348f2"
 
 
 def test_verify_failure_exits_nonzero(monkeypatch, capsys):
