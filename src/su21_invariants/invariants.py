@@ -306,6 +306,7 @@ def _verify_sym_decomposition(suite, n, letters, invariant, highest, anchors):
     dim_lower = rank_of_elements(lower)
     dim_sum = rank_of_elements(strings + lower)
     name = "%s-%d" % (suite, n)
+    hw_id, hw_anchor, sum_anchor = anchors
     checks = [
         CheckResult(
             name + "-dims",
@@ -313,10 +314,10 @@ def _verify_sym_decomposition(suite, n, letters, invariant, highest, anchors):
             (dim_full, dim_strings, dim_lower) == (want_full, want_strings, want_lower),
             "got %d, %d, %d" % (dim_full, dim_strings, dim_lower),
         ),
-        CheckResult(name + "-" + anchors[0], anchors[1], hw_ok),
+        CheckResult(name + "-" + hw_id, hw_anchor, hw_ok),
         CheckResult(
             name + "-direct-sum",
-            anchors[2],
+            sum_anchor,
             dim_sum == dim_strings + dim_lower == want_full,
             "combined rank %d" % dim_sum,
         ),
@@ -449,10 +450,7 @@ def lifted_product_members(max_degree: int) -> tuple:
 
 def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
     checks = []
-    lift = dirac.lifted_generators()
-    t_elements = [x for _, x in lift.t_products()]
-    rows, _ = rows_from_elements(t_elements)
-    t_rank = linalg.rank_of_rows(rows)
+    t_rank = rank_of_elements([x for _, x in dirac.lifted_generators().t_products()])
     checks.append(
         CheckResult(
             "t-basis-rank",

@@ -104,7 +104,7 @@ def matrix_of(v: GVector):
         for r in range(3):
             for s in range(3):
                 acc[r][s] += c * m[r][s]
-    return tuple(tuple(row) for row in acc)
+    return tuple(tuple(map(exact, row)) for row in acc)
 
 
 def from_matrix(m) -> GVector:

@@ -84,14 +84,6 @@ def test_dirac_from_non_dual_pairs_rejected():
         dirac_from_dual_pairs(pairs)
 
 
-def test_k_dual_pairs_pass_the_same_duality_check():
-    pairs = dirac.k_dual_pairs()
-    dirac._check_dual(pairs)
-    # B(E, E) = 0, so pairing E with itself is not dual.
-    with pytest.raises(ValueError):
-        dirac._check_dual(((pairs[0][0], pairs[0][0]),) + pairs[1:])
-
-
 def test_all_lifted_elements_are_invariant():
     lift = lifted_generators()
     elements = dict(lift.as_dict())

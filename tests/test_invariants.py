@@ -510,7 +510,9 @@ def test_coefficients_stay_exact():
         assert all(type(v) is int for v in x.coeffs.values())
     assert all(type(v) is int for _m, v in clifford.chevalley_items(0b0101))
     _assert_exact(dirac.casimir_omega())
-    for row in lie.FORM_TABLE:
+    integral_h = lie.GVector({lie.H1: 1, lie.H2: 2})
+    matrices = lie.BASIS_MATRICES + (lie.matrix_of(integral_h),)
+    for row in lie.FORM_TABLE + tuple(r for m in matrices for r in m):
         for v in row:
             assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
     assert type(lie.FORM_TABLE[lie.E1][lie.F1]) is int
