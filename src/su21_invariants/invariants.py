@@ -8,6 +8,13 @@ enumerated directly rather than filtered out of the whole degree;
 annihilation by all four k-generators is re-verified on every returned
 element rather than assumed, and a failure is a FAIL check of the table.
 
+Each k-generator is applied once to each key of the slice, and the images
+are kept per degree as compressed sparse tables (``_slice_action``).  The
+ad(E) rows of the kernel come from those tables, and the re-check of the
+kernel and of the ``st-basis`` products applies them by linearity: the
+same action, read per key instead of recomputed per element.  An element
+with a key off the slice is re-checked through ``symext.ad_action``.
+
 ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
 E-letters, exterior F-letters), so the kernel computation decomposes into
@@ -28,6 +35,7 @@ degree <= m.  No rank is recomputed from scratch.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import comb
 
@@ -126,10 +134,6 @@ def _signature(key):
     )
 
 
-def _single(key) -> SymTensorElement:
-    return SymTensorElement({key: 1})
-
-
 def rows_from_elements(elements, key_order=None):
     """Coordinate rows of elements over a deterministic key order."""
     if key_order is None:
@@ -152,12 +156,63 @@ def rank_of_elements(elements) -> int:
 _K_GENERATORS = tuple((lie.BASIS_NAMES[gi], lie.gvec(gi)) for gi in lie.K_INDICES)
 
 
-def _not_annihilating(x: SymTensorElement) -> list:
+@lru_cache(maxsize=None)
+def _slice_action(n: int) -> tuple:
+    """The k-action on the degree-n weight-(0,0) slice, one pass per key.
+
+    Returns (keys, column of each key, tables): tables maps the name of
+    each k-generator, in the order of ``_K_GENERATORS``, to the images of
+    the keys in compressed sparse rows (starts, targets, coeffs), three
+    ``array``s of C ints.  The image of key c is the sum of coeffs[t] times
+    the target numbered targets[t], over starts[c] <= t < starts[c + 1].
+    Target ids are local to the degree and the generator and numbered in
+    key order, so rows sorted by target id are sorted by target key.
+    """
+    keys = graded_keys(n, lie.Weight(0, 0))
+    tables = {}
+    for name, z in _K_GENERATORS:
+        target_id = {}
+        starts, targets, coeffs = array("i", [0]), array("i"), array("i")
+        for terms in symext.ad_images(z, keys):
+            for t, v in terms:
+                targets.append(target_id.setdefault(t, len(target_id)))
+                coeffs.append(v)
+            starts.append(len(targets))
+        # Renumber the targets from first seen to key order.
+        rank = {t: r for r, t in enumerate(sorted(target_id))}
+        renumber = [rank[t] for t in target_id]
+        targets = array("i", map(renumber.__getitem__, targets))
+        tables[name] = (starts, targets, coeffs)
+    return keys, {key: c for c, key in enumerate(keys)}, tables
+
+
+def _not_annihilating(x: SymTensorElement, n: int) -> list:
     """Names of the k-generators whose action on x is not zero; all four
-    are applied."""
-    return [
-        name for name, z in _K_GENERATORS if not symext.ad_action(z, x).is_zero()
-    ]
+    are applied.  An x on the degree-n slice is mapped by linearity through
+    the tables of ``_slice_action``, where an empty table is a generator
+    that kills the whole slice; any other x goes through
+    ``symext.ad_action``.
+    """
+    _, col_of, tables = _slice_action(n)
+    try:
+        cols = [(col_of[key], v) for key, v in x.coeffs.items()]
+    except KeyError:
+        return [
+            name for name, z in _K_GENERATORS if not symext.ad_action(z, x).is_zero()
+        ]
+    names = []
+    for name, (starts, targets, coeffs) in tables.items():
+        if not targets:
+            continue  # the generator kills every key of the slice
+        image = {}
+        get = image.get
+        for c, v in cols:
+            for t in range(starts[c], starts[c + 1]):
+                tid = targets[t]
+                image[tid] = get(tid, 0) + v * coeffs[t]
+        if any(image.values()):
+            names.append(name)
+    return names
 
 
 class InvarianceError(ArithmeticError):
@@ -166,33 +221,31 @@ class InvarianceError(ArithmeticError):
 
 def _ad_e_kernel(n: int) -> tuple:
     """Echelon basis of ker ad(E) on the degree-n weight-(0,0) slice."""
-    src = graded_keys(n, lie.Weight(0, 0))
-    if not src:
+    keys, _, tables = _slice_action(n)
+    if not keys:
         return ()
-    e_vec = lie.gvec(lie.E)
+    starts, targets, coeffs = tables["E"]
     blocks = {}
-    for key in src:
-        blocks.setdefault(_signature(key), []).append(key)
+    for c, key in enumerate(keys):
+        blocks.setdefault(_signature(key), []).append(c)
 
-    col_of = {key: i for i, key in enumerate(src)}
     kernel_vectors = []
     for sig in sorted(blocks):
         block = blocks[sig]
         target_rows = {}
-        for local, key in enumerate(block):
-            image = symext.ad_action(e_vec, _single(key))
-            for tkey, v in image.coeffs.items():
-                target_rows.setdefault(tkey, {})[local] = v
+        for local, c in enumerate(block):
+            for t in range(starts[c], starts[c + 1]):
+                target_rows.setdefault(targets[t], {})[local] = coeffs[t]
         rows = [target_rows[t] for t in sorted(target_rows)]
         for vec in linalg.kernel_of_rows(rows, len(block)):
-            kernel_vectors.append({col_of[block[c]]: v for c, v in vec.items()})
+            kernel_vectors.append({block[c]: v for c, v in vec.items()})
 
     # Each block kernel is in reduced echelon form and the blocks have
     # disjoint columns numbered in slice order, so the union is the reduced
     # echelon form of the whole kernel once it is put in lead order.
     kernel_vectors.sort(key=min)
     return tuple(
-        SymTensorElement({src[c]: v for c, v in vec.items()})
+        SymTensorElement({keys[c]: v for c, v in vec.items()})
         for vec in kernel_vectors
     )
 
@@ -203,7 +256,7 @@ def _invariant_subspace_cached(n: int) -> tuple:
     basis = _ad_e_kernel(n)
     failures = []
     for idx, x in enumerate(basis):
-        names = _not_annihilating(x)
+        names = _not_annihilating(x, n)
         if names:
             failures.append(
                 "degree-%d kernel element %d is not annihilated by %s"
@@ -420,7 +473,7 @@ def verify_product_basis(max_degree: int = 8) -> VerificationReport:
         if len(members) != expect:
             problems.append("count %d != %d" % (len(members), expect))
         for label, x in members:
-            names = _not_annihilating(x)
+            names = _not_annihilating(x, n)
             if names:
                 problems.append(
                     "%s is not invariant under %s" % (label, ", ".join(names))

@@ -10,7 +10,10 @@ acting element z, from ``lie.BRACKET_TABLE``, and kept in a small bounded
 cache: the diagonal coefficient [z, x_i]_i of each letter, which adds up
 to one scalar per key, and the off-diagonal moves, the only part of the
 action that builds new keys.  ad(H1) and ad(H2) are diagonal and only
-rescale keys.
+rescale keys.  One per-key routine (``_key_terms``) turns the tables into
+the terms of ad(z) on one key; ``ad_action`` adds them up over an
+element, and ``ad_images`` hands them out per key, for callers that apply
+the action to many elements on the same keys.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
 is integral, a ``Fraction`` otherwise, never a float.  Every weight,
@@ -201,49 +204,69 @@ def _letter_tables(z_items: tuple) -> tuple:
     )
 
 
+def _key_terms(tables: tuple, key) -> list:
+    """The (new key, coeff) terms of ad(z) on one key, from the letter
+    tables of z; no two terms share a key, and zero terms are left out.
+
+    The diagonal part is one scalar, sum_i e_i [z, x_i]_i over the
+    symmetric letters plus the diagonal coefficients of the exterior
+    letters; only the off-diagonal moves build new keys.
+    """
+    sym_diag, sym_moves, mask_diag, mask_moves, bad = tables
+    exps, mask = key
+    if mask & bad:
+        raise ValueError("adjoint action on the exterior leg requires a k-element")
+    s = mask_diag[mask]
+    if sym_diag is not None:
+        s += sum(map(mul, exps, sym_diag))
+    terms = [(key, s)] if s else []
+    for i, moves in sym_moves:
+        e = exps[i]
+        if not e:
+            continue
+        new = list(exps)
+        new[i] = e - 1
+        for j, u in moves:
+            new[j] += 1
+            terms.append(((tuple(new), mask), e * u))
+            new[j] -= 1
+    for m, u in mask_moves[mask]:
+        terms.append(((exps, m), u))
+    return terms
+
+
+def _tables_of(z: GVector) -> tuple:
+    return _letter_tables(tuple(sorted(z.coeffs.items())))
+
+
+def ad_images(z: GVector, keys):
+    """The terms of ad(z) on each key, one list of (new key, coeff) per key,
+    yielded in the order given, with the letter tables of z read once;
+    ad(z) of an element is the linear combination of its keys' terms.
+
+    A z whose bracket pushes an exterior letter out of p raises ValueError
+    at a key with that letter, as ``ad_action`` does.
+    """
+    tables = _tables_of(z)
+    return (_key_terms(tables, key) for key in keys)
+
+
 def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
     """Derivation extension of the bracket to both tensor legs.
 
     The letter tables of ad(z) (``_letter_tables``) are built once per z
-    and kept in a small cache.  The diagonal part of the action is one
-    scalar per key, sum_i e_i [z, x_i]_i over the symmetric letters plus
-    the diagonal coefficients of the exterior letters, so ad(H1) and
-    ad(H2) rescale each key in place; only the off-diagonal moves build
-    new keys.
+    and kept in a small cache; each key's terms come from ``_key_terms``,
+    the routine behind ``ad_images`` too, so ad(H1) and ad(H2) rescale
+    each key in place and only the off-diagonal moves build new keys.
 
     On the exterior leg only the k-part of the action makes sense; a z
     whose bracket pushes an exterior letter out of p raises ValueError.
     """
-    sym_diag, sym_moves, mask_diag, mask_moves, bad = _letter_tables(
-        tuple(sorted(z.coeffs.items()))
-    )
+    tables = _tables_of(z)
     out = {}
     get = out.get
     for key, q in x.coeffs.items():
-        exps, mask = key
-        if mask & bad:
-            raise ValueError(
-                "adjoint action on the exterior leg requires a k-element"
-            )
-        s = mask_diag[mask]
-        if sym_diag is not None:
-            s += sum(map(mul, exps, sym_diag))
-        if s:
-            out[key] = get(key, 0) + q * s
-        for i, moves in sym_moves:
-            e = exps[i]
-            if not e:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            qe = q * e
-            for j, u in moves:
-                new[j] += 1
-                nkey = (tuple(new), mask)
-                out[nkey] = get(nkey, 0) + qe * u
-                new[j] -= 1
-        for m, u in mask_moves[mask]:
-            nkey = (exps, m)
+        for nkey, u in _key_terms(tables, key):
             out[nkey] = get(nkey, 0) + q * u
     return SymTensorElement(out)
 

@@ -7,8 +7,10 @@ joint kernel of all four k-generators acting on the full degree slice.
 """
 
 import hashlib
+import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -412,6 +414,77 @@ def test_weight_slice_matches_brute_force_filter(n):
     assert inv.graded_keys(n, (Fraction(1, 2), 0)) == ()
 
 
+@lru_cache(maxsize=None)
+def _reached(n, name):
+    """The keys the generator reaches from the degree-n slice, sorted: the
+    numbering of the target ids in the slice tables."""
+    z = dict(inv._K_GENERATORS)[name]
+    return sorted(
+        {
+            t
+            for key in inv.graded_keys(n, lie.Weight(0, 0))
+            for t in symext.ad_action(z, symext.SymTensorElement({key: 1})).coeffs
+        }
+    )
+
+
+def _table_image(n, name, x):
+    """ad(name) x by linearity from the slice tables, as an element."""
+    _, col_of, tables = inv._slice_action(n)
+    starts, targets, coeffs = tables[name]
+    reached = _reached(n, name)
+    out = {}
+    for key, v in x.coeffs.items():
+        c = col_of[key]
+        images = [(reached[targets[t]], coeffs[t]) for t in range(starts[c], starts[c + 1])]
+        linalg.add_terms(out, images, v)
+    return symext.SymTensorElement(out)
+
+
+def _cancelling_differences(n, name, limit=8):
+    """u' k - u k' for pairs of slice keys k, k' whose images meet at one
+    target with coefficients u, u', so that the two terms there cancel."""
+    z = dict(inv._K_GENERATORS)[name]
+    seen = {}
+    out = []
+    for key in inv.graded_keys(n, lie.Weight(0, 0)):
+        image = symext.ad_action(z, symext.SymTensorElement({key: 1}))
+        for t, u in image.coeffs.items():
+            if t in seen and len(out) < limit:
+                other, w = seen[t]
+                out.append((t, symext.SymTensorElement({key: w, other: -u})))
+            seen.setdefault(t, (key, u))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_slice_tables_match_ad_action(n):
+    keys = inv.graded_keys(n, lie.Weight(0, 0))
+    rng = random.Random(1200 + n)
+    combos = [
+        symext.SymTensorElement(
+            {k: rng.randint(-6, 6) for k in rng.sample(keys, min(len(keys), 7))}
+        )
+        for _ in range(12)
+    ]
+    singles = [symext.SymTensorElement({k: 1}) for k in keys]
+    cancelled = 0
+    for name, z in inv._K_GENERATORS:
+        differences = _cancelling_differences(n, name)
+        for t, x in differences:
+            assert t not in symext.ad_action(z, x).coeffs
+        cancelled += len(differences)
+        for x in singles + combos + [x for _, x in differences]:
+            want = symext.ad_action(z, x)
+            got = _table_image(n, name, x)
+            assert got == want
+            assert all(type(v) is int for v in got.coeffs.values())
+    for x in singles + combos:
+        want = [name for name, z in inv._K_GENERATORS if symext.ad_action(z, x).coeffs]
+        assert inv._not_annihilating(x, n) == want
+    assert cancelled > 0 or n < 2
+
+
 @pytest.fixture
 def fresh_subspace_cache():
     inv._invariant_subspace_cached.cache_clear()
@@ -484,6 +557,27 @@ def test_nonzero_weight_in_a_product_member_is_a_fail_check(monkeypatch, name):
     rep = inv.verify_product_basis(3)
     assert [c.passed for c in rep.checks] == [True, True, False, True]
     assert rep.checks[2].residual == "%s is not invariant under H1, H2" % target
+
+
+def test_failed_annihilation_in_a_product_member_is_a_fail_check(monkeypatch):
+    # E*F lies on the degree-2 weight-(0,0) slice, so the planted member
+    # is checked through the slice tables, not through ad_action.
+    bad = symext.sym_gen(lie.E) * symext.sym_gen(lie.F)
+    members = inv.product_basis_members
+    target = "a^0 b^0 c^0 d^0 * g"
+
+    def poisoned(n):
+        return tuple(
+            (label, x + bad if label == target else x) for label, x in members(n)
+        )
+
+    planted = dict(poisoned(2))[target]
+    assert set(planted.coeffs) <= set(inv.graded_keys(2, lie.Weight(0, 0)))
+    monkeypatch.setattr(inv, "product_basis_members", poisoned)
+    monkeypatch.setattr(symext, "ad_action", None)
+    rep = inv.verify_product_basis(3)
+    assert [c.passed for c in rep.checks] == [True, True, False, True]
+    assert rep.checks[2].residual == "%s is not invariant under E, F" % target
 
 
 def _assert_exact(x):

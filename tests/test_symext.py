@@ -105,8 +105,13 @@ def test_ad_action_is_a_representation():
 
 
 def test_ad_action_rejects_p_on_exterior_leg():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as single:
         ad_action(gvec(lie.E1), ext_gen(lie.F1))
+    # The per-key images raise the same error on the same key.
+    (key,) = ext_gen(lie.F1).coeffs
+    with pytest.raises(ValueError) as bulk:
+        list(symext.ad_images(gvec(lie.E1), [key]))
+    assert str(bulk.value) == str(single.value)
 
 
 def test_keys_are_weight_vectors():
