@@ -178,9 +178,13 @@ def _slice_action(n: int) -> tuple:
                 targets.append(target_id.setdefault(t, len(target_id)))
                 coeffs.append(v)
             starts.append(len(targets))
-        # Renumber the targets from first seen to key order.
-        rank = {t: r for r, t in enumerate(sorted(target_id))}
-        renumber = [rank[t] for t in target_id]
+        # Renumber the targets from first seen to key order; the dict goes
+        # before the sort, which needs only the keys.
+        seen = list(target_id)
+        del target_id
+        renumber = [0] * len(seen)
+        for rank, first in enumerate(sorted(range(len(seen)), key=seen.__getitem__)):
+            renumber[first] = rank
         targets = array("i", map(renumber.__getitem__, targets))
         tables[name] = (starts, targets, coeffs)
     return keys, {key: c for c, key in enumerate(keys)}, tables
