@@ -436,14 +436,14 @@ def _table_image(n, name, x):
     out = {}
     for key, v in x.coeffs.items():
         c = col_of[key]
-        images = [(reached[targets[t]], coeffs[t]) for t in range(starts[c], starts[c + 1])]
-        linalg.add_terms(out, images, v)
+        span = range(starts[c], starts[c + 1])
+        linalg.add_terms(out, [(reached[targets[t]], coeffs[t]) for t in span], v)
     return symext.SymTensorElement(out)
 
 
 def _cancelling_differences(n, name, limit=8):
-    """u' k - u k' for pairs of slice keys k, k' whose images meet at one
-    target with coefficients u, u', so that the two terms there cancel."""
+    """(t, w k - u k') for pairs of slice keys k, k' whose images meet at
+    the target t with coefficients u and w, so that the terms at t cancel."""
     z = dict(inv._K_GENERATORS)[name]
     seen = {}
     out = []
