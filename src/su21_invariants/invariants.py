@@ -10,21 +10,44 @@ element rather than assumed, and a failure is a FAIL check of the table.
 
 Each k-generator is applied once to each key of the slice, and the images
 are kept per degree as compressed sparse tables (``_slice_action``).  The
-ad(E) rows of the kernel come from those tables, and the re-check of the
-kernel and of the ``st-basis`` products applies them by linearity: the
-same action, read per key instead of recomputed per element.  An element
-with a key off the slice is re-checked through ``symext.ad_action``.
+re-check of the kernel and of the ``st-basis`` products applies them by
+linearity: the same action, read per key instead of recomputed per
+element.  An element with a key off the slice is re-checked through
+``symext.ad_action``.
 
 ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
-E-letters, exterior F-letters), so the kernel computation decomposes into
-independent blocks over that signature; this is what keeps the degree-8
-slice (tens of thousands of monomials) tractable.  Each block kernel comes
-out of ``linalg.kernel_of_rows`` in reduced echelon form, and the blocks
-occupy disjoint columns numbered in slice order, so sorting the kernel
-vectors by their smallest column yields the reduced echelon basis of the
-whole kernel with no global reduction.  The blocked kernel is
-cross-checked against an unblocked joint-kernel computation in the tests.
+E-letters, exterior F-letters), so the kernel decomposes into independent
+blocks over that signature.  Each degree's kernel is built from the one
+below (``_next_kernel``).  In the letters a = H1 + H2 and H = H1 - H2 the
+degree-n slice is a S^(n-1) (+) (its a-free part), and ad(E) keeps both
+summands: a spans the centre of k, so ad(E)(a x) = a ad(E) x, and on the
+a-free part [E, H] = -2E and [E, F] = H never make an a.  So the kernel
+in degree n is a times the kernel of degree n - 1 plus, per block, the
+kernel on the a-free part, whose keys are the block's keys with h1 = 0
+read with slot 1 as the power of H; only that small part is eliminated,
+with ``linalg.kernel_of_rows``.  Two lemmas make one reduction pass turn
+the union into the reduced echelon basis for the slice order:
+
+* lead(a x) = H2 lead(x): every H1 k has a larger h1 than every H2 k',
+  and H2 keeps the key order.  By induction every lead has h1 = 0, and
+  a k is zero at every lead but its own: at another old lead H2 g' it
+  reads k at g', a lead of the degree below, and every key of a k has
+  h1 + h2 >= 1, unlike the leads of the a-free part.
+* A nonzero a-free kernel vector x has an H-free term: if x = H w, then
+  ad(E) x = -2E w + H ad(E) w, whose H-free part -2E w0 is nonzero unless
+  w has no H-free part w0 either; descend.  The expansion
+  H^h = sum_j C(h, j) H1^j (-H2)^(h-j) moves only the terms with H, so
+  the lead of an expanded a-free vector is its smallest H-free key, which
+  the other a-free kernel vectors do not meet.
+
+Each expanded a-free vector is therefore reduced once against the a k
+whose leads it meets, in integers, and divided by its lead; the result
+is the unique reduced echelon basis that eliminating whole blocks gives,
+which the tests keep as the reference, and the blocked kernel is also
+cross-checked there against an unblocked joint-kernel computation.  Only
+the kernel of the last degree built is kept: the table walks the degrees
+upward, and a cold call builds up from degree 0.
 
 The lifted product family of ``uc-basis`` is checked at every filtration
 step with one echelon carried across the steps: the rows of all members
@@ -37,7 +60,8 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from . import dirac, lie, linalg, symext
 from .report import CheckResult, VerificationReport
@@ -166,7 +190,8 @@ def _slice_action(n: int) -> tuple:
     ``array``s of C ints.  The image of key c is the sum of coeffs[t] times
     the target numbered targets[t], over starts[c] <= t < starts[c + 1].
     Target ids are local to the degree and the generator and numbered in
-    key order, so rows sorted by target id are sorted by target key.
+    key order.  The tables feed only the re-check (``_not_annihilating``);
+    the kernel reads the a-free action of ``_a_free_e_images`` instead.
     """
     keys = graded_keys(n, lie.Weight(0, 0))
     tables = {}
@@ -223,35 +248,119 @@ class InvarianceError(ArithmeticError):
     """A computed kernel element is not annihilated by all of k."""
 
 
-def _ad_e_kernel(n: int) -> tuple:
-    """Echelon basis of ker ad(E) on the degree-n weight-(0,0) slice."""
-    keys, _, tables = _slice_action(n)
-    if not keys:
-        return ()
-    starts, targets, coeffs = tables["E"]
-    blocks = {}
-    for c, key in enumerate(keys):
-        blocks.setdefault(_signature(key), []).append(c)
+_E_VEC = lie.gvec(lie.E)
 
-    kernel_vectors = []
-    for sig in sorted(blocks):
-        block = blocks[sig]
+
+def _a_free_e_images(keys):
+    """ad(E) on a-free keys in the sl2 basis, one list of (key, coeff) per key.
+
+    A key with h1 = 0 is read as H^h E^e F^f times its p-letters, with
+    H = H1 - H2 and h its slot 1, and so is every key of its image:
+    [E, H] = -2E and [E, F] = H, so ad(E) H^h = -2h H^(h-1) E and
+    ad(E) F^f = f F^(f-1) H never make an a.  The moves of the p-letters
+    keep the k-letters and come from ``symext.ad_images``.
+    """
+    for key, terms in zip(keys, symext.ad_images(_E_VEC, keys)):
+        exps, mask = key
+        k_part = exps[:4]
+        out = [t for t in terms if t[0][0][:4] == k_part]
+        _, h, e, f = k_part
+        rest = exps[4:]
+        if h:
+            out.append((((0, h - 1, e + 1, f) + rest, mask), -2 * h))
+        if f:
+            out.append((((0, h + 1, e, f - 1) + rest, mask), f))
+        yield out
+
+
+@lru_cache(maxsize=None)
+def _h_power(h: int) -> tuple:
+    """H^h = sum_j C(h, j) H1^j (-H2)^(h-j), as the pairs (j, coefficient)."""
+    return tuple((j, (-1) ** (h - j) * comb(h, j)) for j in range(h + 1))
+
+
+def _next_kernel(n: int, below) -> tuple:
+    """ker ad(E) on the degree-n slice from ``below``, that of degree n - 1;
+    both as (lead keys, reduced echelon basis), in lead order.
+    """
+    keys, col_of, _ = _slice_action(n)
+    # The old part: a k for each k below, through the key maps of H1 and H2
+    # onto the slice keys; a k has its lead at H2 lead(k) and is zero at
+    # every other lead.
+    old = {}
+    if n:
+        up1, up2 = {}, {}
+        for key in _slice_action(n - 1)[0]:
+            exps, mask = key
+            up1[key] = keys[col_of[((exps[0] + 1,) + exps[1:], mask)]]
+            up2[key] = keys[col_of[((exps[0], exps[1] + 1) + exps[2:], mask)]]
+        for lead, x in zip(*below):
+            coeffs = x.coeffs
+            out = dict(zip(map(up2.__getitem__, coeffs), coeffs.values()))
+            linalg.add_terms(out, zip(map(up1.__getitem__, coeffs), coeffs.values()))
+            old[up2[lead]] = SymTensorElement(out)
+
+    # The new part: per signature block, the kernel of ad(E) on its a-free
+    # keys in the sl2 basis, expanded into H1, H2 and reduced against the
+    # old part at the old leads it meets.
+    blocks = {}
+    for key in keys:
+        if not key[0][0]:
+            blocks.setdefault(_signature(key), []).append(key)
+    new = []
+    for block in blocks.values():
         target_rows = {}
-        for local, c in enumerate(block):
-            for t in range(starts[c], starts[c + 1]):
-                target_rows.setdefault(targets[t], {})[local] = coeffs[t]
+        for local, terms in enumerate(_a_free_e_images(block)):
+            for t, u in terms:
+                target_rows.setdefault(t, {})[local] = u
         rows = [target_rows[t] for t in sorted(target_rows)]
         for vec in linalg.kernel_of_rows(rows, len(block)):
-            kernel_vectors.append({block[c]: v for c, v in vec.items()})
+            # Scaled to integers, with den at the lead, and divided by den
+            # once reduced.  Two keys of vec differ in h1 + h2 or in a
+            # later slot, so their expansions share no key.
+            den = lcm(*(v.denominator for v in vec.values() if type(v) is not int))
+            out = {}
+            for local, v in vec.items():
+                v = v * den if type(v) is int else v.numerator * (den // v.denominator)
+                key = block[local]
+                exps, mask = key
+                h = exps[1]
+                if not h:
+                    out[key] = v
+                    continue
+                rest = exps[2:]
+                for j, b in _h_power(h):
+                    out[keys[col_of[((j, h - j) + rest, mask)]]] = b * v
+            for lead in [k for k in out if k in old]:
+                linalg.add_terms(out, old[lead].coeffs.items(), -out[lead])
+            if den != 1:
+                out = {
+                    k: v // den if not v % den else Fraction(v, den)
+                    for k, v in out.items()
+                }
+            new.append((block[min(vec)], SymTensorElement(out)))
+    kernel = new + list(old.items())
+    kernel.sort(key=lambda item: item[0])
+    return [lead for lead, _ in kernel], tuple(x for _, x in kernel)
 
-    # Each block kernel is in reduced echelon form and the blocks have
-    # disjoint columns numbered in slice order, so the union is the reduced
-    # echelon form of the whole kernel once it is put in lead order.
-    kernel_vectors.sort(key=min)
-    return tuple(
-        SymTensorElement({keys[c]: v for c, v in vec.items()})
-        for vec in kernel_vectors
-    )
+
+# The last kernel built, as [degree, (lead keys, basis)]: the table walks
+# the degrees upward, so each degree finds the one below here.
+_last_kernel = [-1, None]
+
+
+def _ad_e_kernel(n: int) -> tuple:
+    """Reduced echelon basis of ker ad(E) on the degree-n weight-(0,0)
+    slice, in lead order, built up from the last degree built below n or
+    from degree 0."""
+    m, kernel = _last_kernel
+    if m > n:
+        m, kernel = -1, None
+    while m < n:
+        m += 1
+        kernel = _next_kernel(m, kernel)
+    _last_kernel[:] = m, kernel
+    return kernel[1]
 
 
 @lru_cache(maxsize=None)

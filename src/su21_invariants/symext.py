@@ -355,7 +355,8 @@ class InvariantGenerators:
         letter: mon(n) = mon(n - e_i) * (a, b, c, d)[i] for the last nonzero
         slot i.  The word a..a b..b c..c d..d is thus multiplied left to
         right, which needs associativity only, not commutativity, and the
-        sixteen t share the monomials.
+        sixteen t share the monomials; the member with t = 1 is the
+        monomial itself, with no product.
         """
         template = "a~^%d b~^%d c~^%d d~^%d * %s~".replace("~", mark)
         letters = (self.a, self.b, self.c, self.d)
@@ -377,7 +378,9 @@ class InvariantGenerators:
                     for n2 in range((rem - 3 * n4 - 2 * n3) // 2 + 1):
                         top = rem - 3 * n4 - 2 * n3 - 2 * n2
                         for n1 in range(max(0, top - (high - low)), top + 1):
-                            x = monomial((n1, n2, n3, n4)) * t
+                            x = monomial((n1, n2, n3, n4))
+                            if tname != "1":
+                                x = x * t
                             label = template % (n1, n2, n3, n4, tname)
                             out.append((label, x, high - top + n1))
         return out

@@ -103,6 +103,10 @@ BASIS_DIGESTS = (
     "5fbc6dd6b549cf3cab92d1a4c0a6e3d86534ab12d8dbda7cffca1750416c12a9",
     "3794a93bd50263efa3592d6d4641139383b890291b63f032c94061ccefc6e594",
     "08e1289350cb03f19ca2c2ed8423f6926b9b82bee58717f964e4a5f607b02b86",
+    "0ab79799fa8191845869a355c530e97fc423b78e0dd7463e35ddac41146484e4",
+    "e92386d1844f27bfa588d3753f9f1541c3d6eb7b78a5e02361804b2cfbcffe41",
+    "5090fa260dfe3d4ab987293e4c471db87979839f51ba126020832b8d6fc73d25",
+    "2630dbc46af1d6485a7d660564024381b35ec3c7ba15b37e66ca3ba5b9bb272a",
 )
 
 
@@ -111,6 +115,65 @@ def test_invariant_subspace_bases_are_pinned(n):
     basis = inv.invariant_subspace(n)
     payload = repr([sorted(x.coeffs.items()) for x in basis]).encode()
     assert hashlib.sha256(payload).hexdigest() == BASIS_DIGESTS[n]
+
+
+def _reference_kernel(n):
+    """ker ad(E) on the degree-n slice by eliminating each signature block
+    whole, with the rows read from the E table of the slice: the kernel of
+    each block in reduced echelon form, put in lead order."""
+    keys, _, tables = inv._slice_action(n)
+    starts, targets, coeffs = tables["E"]
+    blocks = {}
+    for c, key in enumerate(keys):
+        blocks.setdefault(inv._signature(key), []).append(c)
+    kernel_vectors = []
+    for block in blocks.values():
+        target_rows = {}
+        for local, c in enumerate(block):
+            for t in range(starts[c], starts[c + 1]):
+                target_rows.setdefault(targets[t], {})[local] = coeffs[t]
+        rows = [target_rows[t] for t in sorted(target_rows)]
+        for vec in linalg.kernel_of_rows(rows, len(block)):
+            kernel_vectors.append({block[c]: v for c, v in vec.items()})
+    kernel_vectors.sort(key=min)
+    return tuple(
+        symext.SymTensorElement({keys[c]: v for c, v in vec.items()})
+        for vec in kernel_vectors
+    )
+
+
+def test_kernel_from_the_degree_below_matches_whole_blocks():
+    # Upward, as the table walks, then down again, which restarts the
+    # chain of degrees from degree 0.
+    for n in [*range(11), 4, 10, 9]:
+        got = inv._ad_e_kernel(n)
+        want = _reference_kernel(n)
+        assert got == want
+        for x, y in zip(got, want):
+            assert [type(v) for v in x.coeffs.values()] == [
+                type(y.coeffs[k]) for k in x.coeffs
+            ]
+
+
+def _from_sl2_basis(key):
+    """The element an a-free key stands for: slot 1 is the power of H1 - H2."""
+    exps, mask = key
+    assert exps[0] == 0, key
+    h = symext.sym_gen(lie.H1) - symext.sym_gen(lie.H2)
+    return h ** exps[1] * symext.SymTensorElement({((0, 0) + exps[2:], mask): 1})
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_a_free_action_in_the_sl2_basis_matches_ad_action(n):
+    keys = [k for k in inv.graded_keys(n, lie.Weight(0, 0)) if not k[0][0]]
+    e = gvec(lie.E)
+    for key, terms in zip(keys, inv._a_free_e_images(keys)):
+        assert len({t for t, _ in terms}) == len(terms)
+        got = symext.zero()
+        for t, u in terms:
+            assert u
+            got = got + u * _from_sl2_basis(t)
+        assert got == symext.ad_action(e, _from_sl2_basis(key))
 
 
 def _digest(payload):
@@ -326,11 +389,11 @@ def test_lifted_family_builds_each_monomial_once(monkeypatch):
 
     monkeypatch.setattr(dirac.UCElement, "__mul__", counting)
     family = lift.product_family(0, 10, "~")
-    # 836 members over 147 monomials: one product per monomial and one per
-    # member, plus the nine two-letter t; rebuilding each monomial from its
-    # powers for every t took 6 275.
+    # 836 members over 147 monomials: one product per monomial but the unit
+    # and one per member but the 147 with t = 1, plus the nine two-letter t;
+    # rebuilding each monomial from its powers for every t took 6 275.
     assert len(family) == 836
-    assert products <= 1000
+    assert products <= 850
 
 
 def test_ideal_slice():
