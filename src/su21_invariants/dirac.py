@@ -59,6 +59,7 @@ class UCElement(SparseElement):
 
     __slots__ = ()
     UNIT = (ZERO_EXPS, 0)
+    KEYS = {}
     key_degree = staticmethod(symext.SymTensorElement.key_degree)
 
     def _product(self, other) -> dict:

@@ -50,10 +50,12 @@ the kernel of the last degree built is kept: the table walks the degrees
 upward, and a cold call builds up from degree 0.
 
 The lifted product family of ``uc-basis`` is checked at every filtration
-step with one echelon carried across the steps: the rows of all members
-are built once over one key order, the degree-m rows extend the echelon of
-the lower degrees, and its size after step m is the rank of all members of
-degree <= m.  No rank is recomputed from scratch.
+step with one echelon carried across the steps: one key order is fixed for
+all members, the degree-m rows extend the echelon of the lower degrees,
+and its size after step m is the rank of all members of degree <= m.  No
+rank is recomputed from scratch.  The rows are built per step, one at a
+time as the elimination reads them, so no second copy of the members sits
+beside the members and the echelon.
 """
 
 from __future__ import annotations
@@ -158,17 +160,33 @@ def _signature(key):
     )
 
 
-def rows_from_elements(elements, key_order=None):
-    """Coordinate rows of elements over a deterministic key order."""
-    if key_order is None:
-        keys = sorted({k for x in elements for k in x.coeffs})
-    else:
-        keys = list(key_order)
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [
-        {index[k]: v for k, v in x.coeffs.items()} for x in elements
-    ]
-    return rows, keys
+class _Rows:
+    """Coordinate rows of elements over a key index, built one at a time
+    as the elimination reads them, so only the current row is held.  It
+    has a length and can be read again, so a wrapper of ``rank_of_rows``
+    that counts rows and nonzeros (the benchmark's per-layer spans) works
+    on it as on a list."""
+
+    __slots__ = ("elements", "index")
+
+    def __init__(self, elements, index):
+        self.elements = elements
+        self.index = index
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __iter__(self):
+        index = self.index
+        for x in self.elements:
+            yield {index[k]: v for k, v in x.coeffs.items()}
+
+
+def rows_from_elements(elements):
+    """Coordinate rows of elements over their keys in sorted order, as
+    ``_Rows``, and that key order."""
+    keys = sorted({k for x in elements for k in x.coeffs})
+    return _Rows(elements, {k: i for i, k in enumerate(keys)}), keys
 
 
 def rank_of_elements(elements) -> int:
@@ -626,14 +644,15 @@ def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
         )
     )
     members = lifted_product_members(max_filtration)
-    rows, _ = rows_from_elements([x for _, x, _ in members])
+    keys = sorted({k for _, x, _ in members for k in x.coeffs})
+    index = {k: i for i, k in enumerate(keys)}
     # The degree-m rows extend one echelon; its size is the rank up to m.
     pivots = {}
     count = 0
     for m in range(max_filtration + 1):
-        batch = [row for row, (_, _, deg) in zip(rows, members) if deg == m]
-        count += len(batch)
-        rank = linalg.rank_of_rows(batch, pivots)
+        step = _Rows([x for _, x, deg in members if deg == m], index)
+        count += len(step)
+        rank = linalg.rank_of_rows(step, pivots)
         expect = sum(expected_dimension(k) for k in range(m + 1))
         checks.append(
             CheckResult(
@@ -688,9 +707,13 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     keys = sorted(
         {k for x in products for k in x.coeffs}, key=lambda k: (not any(k[0][4:]), k)
     )
-    rows, _ = rows_from_elements(products, keys)
+    # Short rows first: they fill the echelon with sparse pivots, which the
+    # long rows then reduce against.  The sort is stable, so rows of equal
+    # length keep the product order.
+    products.sort(key=lambda x: len(x.coeffs))
+    index = {k: i for i, k in enumerate(keys)}
     pivots = {}
-    full_rank = linalg.rank_of_rows(rows, pivots)
+    full_rank = linalg.rank_of_rows(_Rows(products, index), pivots)
     pure_k = sorted(col for col in pivots if not any(keys[col][0][4:]))
     residual = None
     if pure_k:

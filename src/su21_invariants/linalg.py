@@ -191,17 +191,28 @@ class SparseElement:
 
     Subclasses set ``UNIT``, the key of the unit element, and define
     ``key_degree(key)``, ``_product(other) -> dict`` and ``__repr__``.
+
+    ``KEYS`` is the class's table of product keys, or None: a subclass that
+    sets it to a dict keeps one key object per distinct key that a product
+    makes (hash-consing), since every product builds its keys afresh and
+    the same few thousand keys recur across hundreds of thousands of terms.
+    Only products are interned; the table lives for the process, like the
+    product caches it sits beside.
     """
 
     __slots__ = ("coeffs",)
+    KEYS = None
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs=None, keys=None):
+        """Keep the nonzero coefficients, made exact; with a ``keys`` dict,
+        store each kept key as the object that dict holds for it."""
         data = {}
+        intern = None if keys is None else keys.setdefault
         for key, v in (coeffs or {}).items():
             if type(v) is not int:
                 v = exact(v)
             if v:
-                data[key] = v
+                data[key if intern is None else intern(key, key)] = v
         self.coeffs = data
 
     @classmethod
@@ -242,7 +253,7 @@ class SparseElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        return type(self)(self._product(other))
+        return type(self)(self._product(other), self.KEYS)
 
     def _product(self, other) -> dict:
         raise TypeError("%s has no product" % type(self).__name__)

@@ -7,13 +7,13 @@ from .report import CheckResult, VerificationReport, merge_reports
 
 DEFAULT_MAX_DEGREE = 8
 # The largest --max-degree accepted.  `verify table --max-degree 16` takes
-# about 35 s (single core of a 2-vCPU Xeon, Python 3.11) and each further
-# degree about 1.6 times as long as the one before.
+# about 4.5 s and 66 MB peak RSS (single core of a 2-vCPU Xeon, Python
+# 3.11), and each further degree about 1.4 times as long as the one before.
 MAX_DEGREE = 16
 DEFAULT_MAX_FILTRATION = 4
 # The largest --max-filtration accepted.  On the same machine `verify
-# uc-basis --max-filtration 14` takes about 45 s and 440 MB peak RSS, and
-# each step of 2 about six times as long as the one before.
+# uc-basis --max-filtration 14` takes about 11 s and 265 MB peak RSS, and
+# each step of 2 about five times as long as the one before.
 MAX_FILTRATION = 14
 DEFAULT_IDEAL_BOUND = 3
 

@@ -69,6 +69,7 @@ class SymTensorElement(SparseElement):
 
     __slots__ = ()
     UNIT = (ZERO_EXPS, 0)
+    KEYS = {}
 
     @staticmethod
     def key_degree(key) -> int:

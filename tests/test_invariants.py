@@ -204,7 +204,7 @@ LIFTED_DIGESTS = dict(
     NAMED_DIGESTS, b="f6e08fe8573560d25118200d7a903913515a42ca8c9f161ff38e6df99f35430a"
 )
 CUBIC_DIGEST = "61434086ef49a0a52a7c52a02e32e136a562a906d85dca318e9b3453c004a169"
-# product_basis_members(n) for n = 0..6, labels included.
+# product_basis_members(n) for n = 0..8, labels included.
 PRODUCT_DIGESTS = (
     "8c5f6fb80463e82d2ec4da3e4dce581bec0d57998fdc812348b143ca49aec1e7",
     "e8f24844697eecf0c068ad6099ccb658478c789ff06958620cc02e934b9ba2e5",
@@ -213,9 +213,14 @@ PRODUCT_DIGESTS = (
     "262715b0674b6efac2524d553020ce165029a997844679784ac5bfb45eb45096",
     "308e0e78c80fc3c712de8c82ac52f784e3ae263752d1fd001ee7c250dc0f1f0e",
     "bc71fb253bf82615caa7ebb0a399e0ca927a66a3c1afabbeee455435bcd06291",
+    "581d7749a414e58a02dedbe0fc14b45013f272d16b789580594e9baf2542d5ca",
+    "16e2bd48fdbacf624f63e94ec58484b375a6b36fef519da669c1c11c1c036d2a",
 )
-# lifted_product_members(4), labels and degrees included.
-LIFTED_PRODUCTS_DIGEST = "5eef706449dda50f9d749eacf9037c6b057d3ab5268820c1b51bb120de5f2012"
+# lifted_product_members(f) for f = 4 and 8, labels and degrees included.
+LIFTED_PRODUCTS_DIGESTS = {
+    4: "5eef706449dda50f9d749eacf9037c6b057d3ab5268820c1b51bb120de5f2012",
+    8: "df480455704e2a2d169deb8ee2386153053a861f853060280b906e2919c9524b",
+}
 
 
 def test_generators_and_product_families_are_pinned():
@@ -231,9 +236,10 @@ def test_generators_and_product_families_are_pinned():
     for n, want in enumerate(PRODUCT_DIGESTS):
         members = inv.product_basis_members(n)
         assert _digest([(label, _terms(x)) for label, x in members]) == want
-    members = inv.lifted_product_members(4)
-    payload = [(label, _terms(x), deg) for label, x, deg in members]
-    assert _digest(payload) == LIFTED_PRODUCTS_DIGEST
+    for bound, want in LIFTED_PRODUCTS_DIGESTS.items():
+        members = inv.lifted_product_members(bound)
+        payload = [(label, _terms(x), deg) for label, x, deg in members]
+        assert _digest(payload) == want
 
 
 def test_low_degree_invariants():
@@ -373,6 +379,45 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
         fresh.append(linalg.rank_of_rows(rows))
     assert ranks == fresh
     assert fresh == [sum(EXPECTED_DIMS[: m + 1]) for m in range(7)]
+
+
+def test_dependent_lifted_member_fails_every_step_from_its_degree(monkeypatch):
+    # Plant 3 times one degree-3 member in place of another: the steps below
+    # degree 3 pass, and each step from 3 up has exactly one member too many.
+    m = 3
+    members = list(inv.lifted_product_members(5))
+    first = next(i for i, (_, _, deg) in enumerate(members) if deg == m)
+    label, _, _ = members[first]
+    _, other, deg = members[first + 1]
+    assert deg == m
+    members[first] = (label, 3 * other, m)
+    monkeypatch.setattr(inv, "lifted_product_members", lambda bound: tuple(members))
+    rep = inv.verify_lifted_basis_slice(5)
+    assert rep.checks[0].passed
+    steps = rep.checks[1:]
+    assert len(steps) == 6
+    for k, check in enumerate(steps):
+        assert check.check_id == "products-rank-le-%d" % k
+        if k < m:
+            assert check.passed, check.residual
+        else:
+            count = sum(EXPECTED_DIMS[: k + 1])
+            assert not check.passed
+            assert check.residual == "count %d, rank %d" % (count, count - 1)
+    assert not rep.passed
+
+
+def test_products_share_one_key_object_per_key():
+    # Products intern their keys (SparseElement.KEYS): across a whole
+    # family, equal keys are one object, whichever product made them.
+    families = (
+        [x for _, x, _ in inv.lifted_product_members(6)],
+        [x for _, x in inv.product_basis_members(6)],
+    )
+    for family in families:
+        keys = [k for x in family for k in x.coeffs]
+        assert len(keys) > len(set(keys))
+        assert len({id(k) for k in keys}) == len(set(keys))
 
 
 def test_lifted_family_builds_each_monomial_once(monkeypatch):
