@@ -70,6 +70,10 @@ def _cmd_expr(args) -> int:
         return 2
     result = values[0]
     for value in values[1:]:
+        problem = expr.product_problem(result, value)
+        if problem:
+            print("error: %s" % problem, file=sys.stderr)
+            return 2
         result = result * value
     print(expr.format_element(result, args.context))
     return 0

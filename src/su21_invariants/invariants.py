@@ -8,12 +8,13 @@ enumerated directly rather than filtered out of the whole degree;
 annihilation by all four k-generators is re-verified on every returned
 element rather than assumed, and a failure is a FAIL check of the table.
 
-Each k-generator is applied once to each key of the slice, and the images
+H1 and H2 act on a key by its weight, so they kill every key of the
+slice.  E and F are applied once to each key of the slice, and the images
 are kept per degree as compressed sparse tables (``_slice_action``).  The
 re-check of the kernel and of the ``st-basis`` products applies them by
 linearity: the same action, read per key instead of recomputed per
-element.  An element with a key off the slice is re-checked through
-``symext.ad_action``.
+element.  An element with a key off the slice is re-checked against all
+four generators through ``symext.ad_action``.
 
 ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
@@ -45,9 +46,9 @@ Each expanded a-free vector is therefore reduced once against the a k
 whose leads it meets, in integers, and divided by its lead; the result
 is the unique reduced echelon basis that eliminating whole blocks gives,
 which the tests keep as the reference, and the blocked kernel is also
-cross-checked there against an unblocked joint-kernel computation.  Only
-the kernel of the last degree built is kept: the table walks the degrees
-upward, and a cold call builds up from degree 0.
+cross-checked there against an unblocked joint-kernel computation.  The
+kernel of every degree built is kept, so a call for any degree builds
+only the degrees above the highest one built before.
 
 The lifted product family of ``uc-basis`` is checked at every filtration
 step with one echelon carried across the steps: one key order is fixed for
@@ -200,20 +201,23 @@ _K_GENERATORS = tuple((lie.BASIS_NAMES[gi], lie.gvec(gi)) for gi in lie.K_INDICE
 
 @lru_cache(maxsize=None)
 def _slice_action(n: int) -> tuple:
-    """The k-action on the degree-n weight-(0,0) slice, one pass per key.
+    """The action of E and F on the degree-n weight-(0,0) slice, one pass
+    per key.  H1 and H2 act on a key by its weight, which is 0 on every
+    key of the slice (``graded_keys``), so they have no table.
 
-    Returns (keys, column of each key, tables): tables maps the name of
-    each k-generator, in the order of ``_K_GENERATORS``, to the images of
-    the keys in compressed sparse rows (starts, targets, coeffs), three
-    ``array``s of C ints.  The image of key c is the sum of coeffs[t] times
-    the target numbered targets[t], over starts[c] <= t < starts[c + 1].
-    Target ids are local to the degree and the generator and numbered in
-    key order.  The tables feed only the re-check (``_not_annihilating``);
-    the kernel reads the a-free action of ``_a_free_e_images`` instead.
+    Returns (keys, column of each key, tables): tables maps "E" and "F" to
+    the images of the keys in compressed sparse rows (starts, targets,
+    coeffs), three ``array``s of C ints.  The image of key c is the sum of
+    coeffs[t] times the target numbered targets[t], over starts[c] <= t <
+    starts[c + 1].  Target ids are local to the degree and the generator
+    and numbered in the order first seen, since the re-check only asks
+    whether an image is zero.  The tables feed only the re-check
+    (``_not_annihilating``); the kernel reads the a-free action of
+    ``_a_free_e_images`` instead.
     """
     keys = graded_keys(n, lie.Weight(0, 0))
     tables = {}
-    for name, z in _K_GENERATORS:
+    for name, z in _K_GENERATORS[2:]:  # E and F
         target_id = {}
         starts, targets, coeffs = array("i", [0]), array("i"), array("i")
         for terms in symext.ad_images(z, keys):
@@ -221,24 +225,15 @@ def _slice_action(n: int) -> tuple:
                 targets.append(target_id.setdefault(t, len(target_id)))
                 coeffs.append(v)
             starts.append(len(targets))
-        # Renumber the targets from first seen to key order; the dict goes
-        # before the sort, which needs only the keys.
-        seen = list(target_id)
-        del target_id
-        renumber = [0] * len(seen)
-        for rank, first in enumerate(sorted(range(len(seen)), key=seen.__getitem__)):
-            renumber[first] = rank
-        targets = array("i", map(renumber.__getitem__, targets))
         tables[name] = (starts, targets, coeffs)
     return keys, {key: c for c, key in enumerate(keys)}, tables
 
 
 def _not_annihilating(x: SymTensorElement, n: int) -> list:
     """Names of the k-generators whose action on x is not zero; all four
-    are applied.  An x on the degree-n slice is mapped by linearity through
-    the tables of ``_slice_action``, where an empty table is a generator
-    that kills the whole slice; any other x goes through
-    ``symext.ad_action``.
+    are applied.  An x on the degree-n slice has weight 0, which H1 and H2
+    kill, and is mapped by E and F by linearity through the tables of
+    ``_slice_action``; any other x goes through ``symext.ad_action``.
     """
     _, col_of, tables = _slice_action(n)
     try:
@@ -249,8 +244,6 @@ def _not_annihilating(x: SymTensorElement, n: int) -> list:
         ]
     names = []
     for name, (starts, targets, coeffs) in tables.items():
-        if not targets:
-            continue  # the generator kills every key of the slice
         image = {}
         get = image.get
         for c, v in cols:
@@ -299,7 +292,8 @@ def _h_power(h: int) -> tuple:
 
 def _next_kernel(n: int, below) -> tuple:
     """ker ad(E) on the degree-n slice from ``below``, that of degree n - 1;
-    both as (lead keys, reduced echelon basis), in lead order.
+    both as reduced echelon bases in lead order, where the lead of a vector
+    is its smallest key.
     """
     keys, col_of, _ = _slice_action(n)
     # The old part: a k for each k below, through the key maps of H1 and H2
@@ -312,11 +306,11 @@ def _next_kernel(n: int, below) -> tuple:
             exps, mask = key
             up1[key] = keys[col_of[((exps[0] + 1,) + exps[1:], mask)]]
             up2[key] = keys[col_of[((exps[0], exps[1] + 1) + exps[2:], mask)]]
-        for lead, x in zip(*below):
+        for x in below:
             coeffs = x.coeffs
             out = dict(zip(map(up2.__getitem__, coeffs), coeffs.values()))
             linalg.add_terms(out, zip(map(up1.__getitem__, coeffs), coeffs.values()))
-            old[up2[lead]] = SymTensorElement(out)
+            old[up2[min(coeffs)]] = SymTensorElement(out)
 
     # The new part: per signature block, the kernel of ad(E) on its a-free
     # keys in the sl2 basis, expanded into H1, H2 and reduced against the
@@ -359,26 +353,15 @@ def _next_kernel(n: int, below) -> tuple:
             new.append((block[min(vec)], SymTensorElement(out)))
     kernel = new + list(old.items())
     kernel.sort(key=lambda item: item[0])
-    return [lead for lead, _ in kernel], tuple(x for _, x in kernel)
+    return tuple(x for _, x in kernel)
 
 
-# The last kernel built, as [degree, (lead keys, basis)]: the table walks
-# the degrees upward, so each degree finds the one below here.
-_last_kernel = [-1, None]
-
-
+@lru_cache(maxsize=None)
 def _ad_e_kernel(n: int) -> tuple:
     """Reduced echelon basis of ker ad(E) on the degree-n weight-(0,0)
-    slice, in lead order, built up from the last degree built below n or
-    from degree 0."""
-    m, kernel = _last_kernel
-    if m > n:
-        m, kernel = -1, None
-    while m < n:
-        m += 1
-        kernel = _next_kernel(m, kernel)
-    _last_kernel[:] = m, kernel
-    return kernel[1]
+    slice, in lead order, built from that of degree n - 1 and kept per
+    degree."""
+    return _next_kernel(n, _ad_e_kernel(n - 1) if n else ())
 
 
 @lru_cache(maxsize=None)
@@ -399,8 +382,10 @@ def _invariant_subspace_cached(n: int) -> tuple:
 def invariant_subspace(n: int) -> list:
     """Echelon-normalized basis of the degree-n K-invariants.
 
-    Every element is re-checked against all four k-generators; a failure
-    raises InvarianceError.
+    Every element is re-checked against all four k-generators by
+    ``_not_annihilating``: on the weight-(0,0) slice H1 and H2 by the
+    weight of its keys and E and F through the slice tables, off the slice
+    through ``symext.ad_action``.  A failure raises InvarianceError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

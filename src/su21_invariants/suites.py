@@ -7,8 +7,8 @@ from .report import CheckResult, VerificationReport, merge_reports
 
 DEFAULT_MAX_DEGREE = 8
 # The largest --max-degree accepted.  `verify table --max-degree 16` takes
-# about 4.5 s and 66 MB peak RSS (single core of a 2-vCPU Xeon, Python
-# 3.11), and each further degree about 1.4 times as long as the one before.
+# about 3.6 s and 63 MB peak RSS (single core of a 2-vCPU Xeon, Python
+# 3.11), and each further degree about 1.3 times as long as the one before.
 MAX_DEGREE = 16
 DEFAULT_MAX_FILTRATION = 4
 # The largest --max-filtration accepted.  On the same machine `verify

@@ -158,6 +158,37 @@ def test_power_size_is_capped(capsys):
         assert capsys.readouterr().out.strip() == "1"
 
 
+def test_product_size_is_capped(monkeypatch, capsys):
+    power = "(H1+H2+E+F+E1+E2+F1+F2)^10"
+    # 19 448 x 19 448 term pairs: refused before the product, at the '*'.
+    assert cli.main(["eval", "--context", "symmetric", power + "*" + power]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a product of 19448 by 19448 terms")
+    assert "over the cap of %d" % expr.MAX_PRODUCT_PAIRS in err
+    assert err.rstrip().endswith("(at position %d)" % len(power))
+    assert cli.main(["mul", "--context", "symmetric", power, power]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a product of 19448 by 19448 terms")
+    # At the cap a product goes through; one pair past it is refused, for
+    # '*', '^^' and '(x)' alike.
+    monkeypatch.setattr(expr, "MAX_PRODUCT_PAIRS", 6)
+    at = ("(E+F)*(E+F+H1)", "(E+F+H1) (x) (E1+F1)", "1 (x) (E1+E2)^^(F1+F2+E1)")
+    for text in at:
+        assert cli.main(["eval", "--context", "tensor", text]) == 0
+        capsys.readouterr()
+    over = (
+        "(E+F)*(E+F+H1+H2)", "(E+F+H1+H2) (x) (E1+F1)", "1 (x) (E1+E2)^^(E1+E2+F1+F2)"
+    )
+    for text in over:
+        assert cli.main(["eval", "--context", "tensor", text]) == 2
+        assert "over the cap of 6" in capsys.readouterr().err
+    assert cli.main(["mul", "--context", "enveloping", "E+F", "E+F+H1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["mul", "--context", "enveloping", "E+F", "E+F+H1+H2"]) == 2
+    assert capsys.readouterr().err.startswith("error: a product of 2 by 4 terms")
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"

@@ -143,8 +143,8 @@ def _reference_kernel(n):
 
 
 def test_kernel_from_the_degree_below_matches_whole_blocks():
-    # Upward, as the table walks, then down again, which restarts the
-    # chain of degrees from degree 0.
+    # Upward, as the table walks, then down again, which reads the degrees
+    # kept from the walk up.
     for n in [*range(11), 4, 10, 9]:
         got = inv._ad_e_kernel(n)
         want = _reference_kernel(n)
@@ -153,6 +153,21 @@ def test_kernel_from_the_degree_below_matches_whole_blocks():
             assert [type(v) for v in x.coeffs.values()] == [
                 type(y.coeffs[k]) for k in x.coeffs
             ]
+
+
+def test_lower_degrees_are_kept_after_a_higher_one(monkeypatch):
+    inv._ad_e_kernel(10)
+    built = []
+    next_kernel = inv._next_kernel
+
+    def counting(n, below):
+        built.append(n)
+        return next_kernel(n, below)
+
+    monkeypatch.setattr(inv, "_next_kernel", counting)
+    assert inv._ad_e_kernel(9) == _reference_kernel(9)
+    assert inv._ad_e_kernel(4) == _reference_kernel(4)
+    assert built == []
 
 
 def _from_sl2_basis(key):
@@ -523,29 +538,38 @@ def test_weight_slice_matches_brute_force_filter(n):
 
 
 @lru_cache(maxsize=None)
-def _reached(n, name):
-    """The keys the generator reaches from the degree-n slice, sorted: the
-    numbering of the target ids in the slice tables."""
+def _target_keys(n, name):
+    """The key of each target id in the slice table of E or F, read off the
+    single-key images: ``ad_action`` lists a key's terms in the order of
+    ``symext.ad_images``, so the entries of row c pair with them in order.
+    The pairing must be one bijection from the ids 0, 1, ... onto the keys
+    reached."""
     z = dict(inv._K_GENERATORS)[name]
-    return sorted(
-        {
-            t
-            for key in inv.graded_keys(n, lie.Weight(0, 0))
-            for t in symext.ad_action(z, symext.SymTensorElement({key: 1})).coeffs
-        }
-    )
+    keys, _, tables = inv._slice_action(n)
+    starts, targets, coeffs = tables[name]
+    key_of = {}
+    for c, key in enumerate(keys):
+        image = symext.ad_action(z, symext.SymTensorElement({key: 1})).coeffs
+        span = range(starts[c], starts[c + 1])
+        assert len(span) == len(image)
+        for t, (target, u) in zip(span, image.items()):
+            assert coeffs[t] == u
+            assert key_of.setdefault(targets[t], target) == target
+    assert sorted(key_of) == list(range(len(key_of)))
+    assert len(set(key_of.values())) == len(key_of)
+    return key_of
 
 
 def _table_image(n, name, x):
     """ad(name) x by linearity from the slice tables, as an element."""
     _, col_of, tables = inv._slice_action(n)
     starts, targets, coeffs = tables[name]
-    reached = _reached(n, name)
+    key_of = _target_keys(n, name)
     out = {}
     for key, v in x.coeffs.items():
         c = col_of[key]
         span = range(starts[c], starts[c + 1])
-        linalg.add_terms(out, [(reached[targets[t]], coeffs[t]) for t in span], v)
+        linalg.add_terms(out, [(key_of[targets[t]], coeffs[t]) for t in span], v)
     return symext.SymTensorElement(out)
 
 
@@ -576,8 +600,15 @@ def test_slice_tables_match_ad_action(n):
         for _ in range(12)
     ]
     singles = [symext.SymTensorElement({k: 1}) for k in keys]
+    generators = dict(inv._K_GENERATORS)
+    # H1 and H2 act by the weight, which is 0 on every key of the slice, so
+    # only E and F have tables.
+    for name in ("H1", "H2"):
+        assert all(symext.ad_action(generators[name], x).is_zero() for x in singles)
+    assert list(inv._slice_action(n)[2]) == ["E", "F"]
     cancelled = 0
-    for name, z in inv._K_GENERATORS:
+    for name in ("E", "F"):
+        z = generators[name]
         differences = _cancelling_differences(n, name)
         for t, x in differences:
             assert t not in symext.ad_action(z, x).coeffs
@@ -600,16 +631,25 @@ def fresh_subspace_cache():
     inv._invariant_subspace_cached.cache_clear()
 
 
-def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch, fresh_subspace_cache):
+def _plant_in_degree_two(monkeypatch, bad):
+    """Make the last element of the degree-2 kernel ``bad``.  The kernels
+    of degrees 0..3 are built first: each degree is built from
+    ``_ad_e_kernel(n - 1)``, looked up by name, so degree 3 would otherwise
+    be built from the planted degree 2."""
     kernel = inv._ad_e_kernel
-    # E*F has weight (0, 0) but neither E nor F kills it.
-    bad = symext.sym_gen(lie.E) * symext.sym_gen(lie.F)
+    kernel(3)
 
     def poisoned(n):
         basis = kernel(n)
         return basis[:-1] + (bad,) if n == 2 else basis
 
     monkeypatch.setattr(inv, "_ad_e_kernel", poisoned)
+
+
+def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch, fresh_subspace_cache):
+    # E*F has weight (0, 0) but neither E nor F kills it.
+    bad = symext.sym_gen(lie.E) * symext.sym_gen(lie.F)
+    _plant_in_degree_two(monkeypatch, bad)
     rep = inv.verify_table(3)
     assert [c.passed for c in rep.checks] == [True, True, False, True]
     assert rep.checks[2].residual == (
@@ -636,13 +676,7 @@ def test_nonzero_weight_in_the_kernel_is_a_fail_check(
     bad = _weight_one_one(name)
     assert symext.ad_action(gvec(lie.E), bad).is_zero()
     assert symext.ad_action(gvec(lie.F), bad).is_zero()
-    kernel = inv._ad_e_kernel
-
-    def poisoned(n):
-        basis = kernel(n)
-        return basis[:-1] + (bad,) if n == 2 else basis
-
-    monkeypatch.setattr(inv, "_ad_e_kernel", poisoned)
+    _plant_in_degree_two(monkeypatch, bad)
     rep = inv.verify_table(3)
     assert [c.passed for c in rep.checks] == [True, True, False, True]
     assert rep.checks[2].residual == (
