@@ -13,10 +13,12 @@ form,
 
     alpha(z) = -1/4 sum_i [z, b_i] d_i
 
-over trace-form-dual bases (b_i, d_i) of p (Huang and Pandzic, Dirac
-Operators in Representation Theory, 2.3; no linear system is solved);
-the quadratic Casimir element of U(sl3) from dual bases of the trace
-form and the cubic central element from a, b, c, d; and the
+over the basis b_i of p and its trace-form dual d_i (Huang and Pandzic,
+Dirac Operators in Representation Theory, 2.3; no linear system is
+solved); the quadratic Casimir element of U(sl3), the Casimir of the
+diagonal copy of k, D and D^k, each a sum over a basis and its dual
+``lie.DUAL``; the cubic central element from the symmetric invariant
+d_abc = tr(X_a {X_b, X_c}) of the defining representation; and the
 distinguished K-invariant elements -- the lifts of the commutative
 generators a..j, the Dirac operator D and its k-analogue.  The lifts are
 the formulas of ``symext.InvariantGenerators.from_letters`` with the
@@ -42,13 +44,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import add, mul
 
 from . import clifford as cl
 from . import enveloping as env
 from . import lie
 from . import symext
 from .lie import GVector
-from .linalg import SparseElement
+from .linalg import SparseElement, add_terms
 from .report import CheckResult, VerificationReport
 
 ZERO_EXPS = env.ZERO_EXPS
@@ -117,21 +121,29 @@ def c_gen(i: int) -> UCElement:
     return c_vec(lie.gvec(i))
 
 
+def _dual_sum(indices, left, right) -> UCElement:
+    """sum_i left(x_i) right(x^i) over the basis letters x_i of the given
+    indices and their trace-form duals x^i = ``lie.DUAL[i]``."""
+    out = UCElement()
+    for i in indices:
+        out = out + left(lie.gvec(i)) * right(lie.DUAL[i])
+    return out
+
+
 def alpha(z: GVector) -> UCElement:
     """The action map k -> C(p): alpha(z) = -1/4 sum_i [z, b_i] d_i.
 
-    The sum runs over the trace-form-dual bases (b_i, d_i) of p in
-    ``lie.P_DUAL_PAIRS``.  It is the closed form of the composite
+    The sum runs over the basis b_i of p and its trace-form dual d_i in
+    ``lie.DUAL``.  It is the closed form of the composite
     k -> so(p) -> C(p) for the relation v w + w v = -2 B(v, w)
     (Huang and Pandzic, Dirac Operators in Representation Theory, 2.3),
     and it satisfies [alpha(z), v] = [z, v] for every v in p.
     """
     if not z.coeffs.keys() <= lie.K_SET:
         raise ValueError("alpha is defined on k only")
-    out = UCElement()
-    for b, d in lie.P_DUAL_PAIRS:
-        out = out + c_vec(lie.bracket(z, lie.gvec(b))) * c_gen(d)
-    return Fraction(-1, 4) * out
+    return Fraction(-1, 4) * _dual_sum(
+        lie.P_INDICES, lambda b: c_vec(lie.bracket(z, b)), c_vec
+    )
 
 
 def sigma_tau(x: symext.SymTensorElement) -> UCElement:
@@ -158,112 +170,62 @@ def diagonal_action(z: GVector, x: UCElement) -> UCElement:
     return d * x - x * d
 
 
-def _check_dual(pairs) -> None:
-    """Raise ValueError unless B(v_i, d_j) is 1 for i = j and 0 otherwise."""
-    for i, (v, _) in enumerate(pairs):
-        for j, (_, d) in enumerate(pairs):
-            if lie.trace_form(v, d) != (1 if i == j else 0):
-                raise ValueError("bases are not dual for the trace form")
-
-
-def dirac_from_dual_pairs(pairs) -> UCElement:
-    """Sum b_i (x) d_i over a trace-form-dual pair of bases of p."""
-    _check_dual(pairs)
-    out = UCElement()
-    for v, d in pairs:
-        out = out + u_vec(v) * c_vec(d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def dirac_operator() -> UCElement:
-    return dirac_from_dual_pairs(
-        [(lie.gvec(b), lie.gvec(d)) for b, d in lie.P_DUAL_PAIRS]
-    )
+    """D = sum_i b_i (x) d_i over the basis b_i of p and its dual d_i."""
+    return _dual_sum(lie.P_INDICES, u_vec, c_vec)
 
 
-@lru_cache(maxsize=None)
-def k_dual_pairs() -> tuple:
-    """The trace-form-dual pair of bases of k used for diagonal sums."""
-    pairs = (
-        (lie.gvec(lie.E), lie.gvec(lie.F)),
-        (lie.gvec(lie.F), lie.gvec(lie.E)),
-        (lie.H_VEC, Fraction(1, 2) * lie.H_VEC),
-        (lie.A_VEC, Fraction(3, 2) * lie.A_VEC),
-    )
-    _check_dual(pairs)
-    return pairs
+def diagonal_casimir() -> UCElement:
+    """The Casimir element of the diagonal copy of k."""
+    return _dual_sum(lie.K_INDICES, diagonal_embed, diagonal_embed)
 
 
-def diagonal_casimir(pairs=None) -> UCElement:
-    if pairs is None:
-        pairs = k_dual_pairs()
-    out = UCElement()
-    for z, zd in pairs:
-        out = out + diagonal_embed(z) * diagonal_embed(zd)
-    return out
-
-
-def dk_element(pairs=None) -> UCElement:
+def dk_element() -> UCElement:
     """The k-analogue of the Dirac element: sum z_i (x) alpha(dual z_i)."""
-    if pairs is None:
-        pairs = k_dual_pairs()
-    out = UCElement()
-    for z, zd in pairs:
-        out = out + u_vec(z) * alpha(zd)
-    return out
+    return _dual_sum(lie.K_INDICES, u_vec, alpha)
 
 
 @lru_cache(maxsize=None)
 def casimir_omega() -> UCElement:
-    """The degree-two central element of U(g): sum_i z_i z^i over the
-    trace-form-dual bases of k (``k_dual_pairs``) and of p."""
-    out = UCElement()
-    for z, zd in k_dual_pairs():
-        out = out + u_vec(z) * u_vec(zd)
-    for b, d in lie.P_DUAL_PAIRS:
-        out = out + u_gen(b) * u_gen(d)
-    return out
+    """The degree-two central element of U(g): sum_i x_i x^i over the
+    basis of g and its trace-form dual."""
+    return _dual_sum(range(lie.DIM), u_vec, u_vec)
 
 
 @lru_cache(maxsize=None)
 def cubic_element() -> UCElement:
-    """The degree-three central element of U(g), expressed through the
-    a, b, c, d written in U(g)."""
-    ua, ub, uc, ud = symext.polynomial_invariants(u_gen)
-    return (
-        Fraction(-3, 2) * ua ** 3
-        + Fraction(3, 2) * (ua * ub)
-        - 3 * (ua * uc)
-        + Fraction(9, 2) * (ua * ua)
-        - 3 * ua
-        + 3 * ud
-        - Fraction(3, 2) * ub
-    )
+    """The degree-three central element of U(g),
+
+        cub = sum_abc d_abc X^a X^b X^c,  d_abc = tr(X_a {X_b, X_c}),
+
+    with X_a the defining matrices and X^a = ``lie.DUAL[a]`` (Kostant,
+    Duke Math. J. 100, 1999).  It reads none of the polynomials a..d, so
+    the check ``cub-expression`` compares two separate constructions.  The
+    traces are taken of the integer matrices 3 X_a, hence the 1/27."""
+    mats = [[[int(3 * v) for v in row] for row in x] for x in lie.BASIS_MATRICES]
+    # tr(A M) is the dot product of A transposed and M, both read by rows.
+    flat_t = [sum(zip(*x), ()) for x in mats]
+    prods = [[sum(lie.mat_mul(x, y), ()) for y in mats] for x in mats]
+    duals = [u_vec(v) for v in lie.DUAL]
+    squares = [[(x * y).coeffs.items() for y in duals] for x in duals]
+    out = {}
+    for a in range(lie.DIM):
+        quad = {}
+        for b, c in product(range(lie.DIM), repeat=2):
+            anti = map(add, prods[b][c], prods[c][b])
+            add_terms(quad, squares[b][c], sum(map(mul, flat_t[a], anti)))
+        add_terms(out, (duals[a] * UCElement(quad)).coeffs.items())
+    return Fraction(1, 27) * UCElement(out)
 
 
-def _cartan_dual_of_weight(w) -> GVector:
-    """The Cartan element pairing to the given weight via the trace form."""
-    b11 = lie.FORM_TABLE[lie.H1][lie.H1]
-    b12 = lie.FORM_TABLE[lie.H1][lie.H2]
-    b22 = lie.FORM_TABLE[lie.H2][lie.H2]
-    det = b11 * b22 - b12 * b12
-    a, b = Fraction(w[0]), Fraction(w[1])
-    x = (b22 * a - b12 * b) / det
-    y = (b11 * b - b12 * a) / det
-    return GVector({lie.H1: x, lie.H2: y})
-
-
-def _half_sum_norm_sq(raising_indices) -> Fraction:
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for i in raising_indices:
-        w = lie.weight_of(i)
-        s1 += w.h1
-        s2 += w.h2
-    rho = (Fraction(1, 2) * s1, Fraction(1, 2) * s2)
-    v = _cartan_dual_of_weight(rho)
-    return lie.trace_form(v, v)
+def _half_sum_norm_sq(raising_indices):
+    """B(rho, rho) for rho half the sum of the weights of the given letters;
+    the Cartan element of a weight w is w1 DUAL[H1] + w2 DUAL[H2]."""
+    w1 = sum(lie.weight_of(i).h1 for i in raising_indices)
+    w2 = sum(lie.weight_of(i).h2 for i in raising_indices)
+    rho = Fraction(w1, 2) * lie.DUAL[lie.H1] + Fraction(w2, 2) * lie.DUAL[lie.H2]
+    return lie.trace_form(rho, rho)
 
 
 def rho_g_norm_sq() -> Fraction:
@@ -392,17 +354,12 @@ def verify_reduction_identities() -> VerificationReport:
 
 def verify_dirac_square() -> VerificationReport:
     """D^2 against the Casimir elements and the derived rho norms."""
-    checks = []
     rg = rho_g_norm_sq()
     rk = rho_k_norm_sq()
-    checks.append(
-        CheckResult(
-            "rho-norms",
-            "|rho_g|^2 = 2 and |rho_k|^2 = 1/2 under the trace form",
-            rg == 2 and rk == Fraction(1, 2),
-            None if (rg == 2 and rk == Fraction(1, 2)) else "got %s, %s" % (rg, rk),
-        )
-    )
+    ok = rg == 2 and rk == Fraction(1, 2)
+    anchor = "|rho_g|^2 = 2 and |rho_k|^2 = 1/2 under the trace form"
+    residual = None if ok else "got %s, %s" % (rg, rk)
+    checks = [CheckResult("rho-norms", anchor, ok, residual)]
     D = dirac_operator()
     lhs = D * D
     rhs = -(casimir_omega() + rg * uc_one()) + (

@@ -29,9 +29,6 @@ K_INDICES = (H1, H2, E, F)
 P_INDICES = (E1, E2, F1, F2)
 K_SET = frozenset(K_INDICES)
 P_SET = frozenset(P_INDICES)
-# Trace-form-dual bases of p, as index pairs (b_i, d_i): B(b_i, d_j) is 1
-# when i = j and 0 otherwise.
-P_DUAL_PAIRS = ((E1, F1), (E2, F2), (F1, E1), (F2, E2))
 DIM = len(BASIS_NAMES)
 
 
@@ -95,6 +92,14 @@ class GVector(SparseElement):
 
 def gvec(i: int) -> GVector:
     return GVector({i: 1})
+
+
+# The trace-form dual of each basis letter: B(x_i, DUAL[j]) is 1 when
+# i = j and 0 otherwise.  It maps k onto k and p onto p, so every sum over
+# dual bases of g, k or p reads this one table.
+DUAL = (GVector({H1: 2, H2: 1}), GVector({H1: 1, H2: 2})) + tuple(
+    map(gvec, (F, E, F1, F2, E1, E2))
+)
 
 
 def matrix_of(v: GVector):

@@ -19,9 +19,10 @@ eliminates on the largest column instead and back-substitutes in
 increasing pivot order; each kernel vector then has its smallest column
 at its own free column, with value 1, and no other kernel vector touches
 that column, so the kernel comes out in reduced echelon form for the
-original column order without a second reduction.  Nothing in the package calls ``rref_rows`` any more; it stays
-as the reference canonical form that the tests compare kernels with, and
-the benchmark's per-layer spans (``bench/tracing.py``) still wrap it.
+original column order without a second reduction.  Nothing in the
+package calls ``rref_rows`` any more; it stays as the reference canonical
+form that the tests compare kernels with, and the benchmark's per-layer
+spans (``bench/tracing.py``) still wrap it.
 
 Reduced echelon forms depend only on the column order, never on the order
 the rows arrive in, so every rank and kernel produced here is canonical

@@ -189,6 +189,37 @@ def test_product_size_is_capped(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: a product of 2 by 4 terms")
 
 
+def test_enveloping_products_are_weighed_by_degree(capsys):
+    letters = "(H1+H2+E+F+E1+E2+F1+F2)"
+    # Each took 4 s of CPU time or more: refused before the product, with
+    # the pairs weighed by the degrees of the factors.
+    slow = (
+        (letters + "^5", letters + "^5"),
+        (letters + "^2", letters + "^8"),
+        (letters + "^4", letters + "^4"),
+        ("(E1+F1)^12", "(E1+F1)^12"),
+        ("(E+F)^12", "(E+F)^12"),
+        ("(E+F)^14", "(E+F)^14"),
+        ("(E+F)^4", "(E+F)^20"),
+    )
+    for x, y in slow:
+        assert cli.main(["eval", "--context", "enveloping", x + "*" + y]) == 2
+        assert "over the cap of %d" % expr.MAX_PRODUCT_PAIRS in capsys.readouterr().err
+        assert cli.main(["mul", "--context", "enveloping", x, y]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a product of ")
+    # Under a second each: the longer factor on the left, or low degrees.
+    fast = ((letters + "^3", letters + "^3"), ("(E+F)^20", "(E+F)^4"))
+    for x, y in fast:
+        parsed = [expr.parse_element(text, "enveloping") for text in (x, y)]
+        assert expr.product_problem(*parsed) is None
+    assert cli.main(["mul", "--context", "enveloping", "(E+F)^8", "(E+F)^8"]) == 0
+    square = capsys.readouterr().out
+    assert cli.main(["eval", "--context", "enveloping", "(E+F)^16"]) == 0
+    assert square == capsys.readouterr().out
+
+
 def test_mul_command(capsys):
     assert cli.main(["mul", "--context", "clifford", "E1", "F1"]) == 0
     assert capsys.readouterr().out.strip() == "E1*F1"

@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from su21_invariants import dirac, lie, symext
 from su21_invariants.dirac import (
     UCElement,
@@ -12,7 +10,6 @@ from su21_invariants.dirac import (
     casimir_omega,
     diagonal_action,
     diagonal_casimir,
-    dirac_from_dual_pairs,
     dirac_operator,
     dk_element,
     lifted_generators,
@@ -62,6 +59,18 @@ def test_dirac_operator_form():
     assert D == want
 
 
+def _dual_pair_sum(pairs, left, right):
+    """sum_i left(b_i) right(d_i) over pairs of bases that are dual for
+    the trace form."""
+    for i, (b, _) in enumerate(pairs):
+        for j, (_, d) in enumerate(pairs):
+            assert lie.trace_form(b, d) == (1 if i == j else 0)
+    out = UCElement()
+    for b, d in pairs:
+        out = out + left(b) * right(d)
+    return out
+
+
 def test_dirac_operator_is_dual_basis_independent():
     e1, f1 = gvec(lie.E1), gvec(lie.F1)
     pairs = [
@@ -70,18 +79,7 @@ def test_dirac_operator_is_dual_basis_independent():
         (gvec(lie.E2), gvec(lie.F2)),
         (gvec(lie.F2), gvec(lie.E2)),
     ]
-    assert dirac_from_dual_pairs(pairs) == dirac_operator()
-
-
-def test_dirac_from_non_dual_pairs_rejected():
-    pairs = [
-        (gvec(lie.E1), gvec(lie.E1)),
-        (gvec(lie.E2), gvec(lie.F2)),
-        (gvec(lie.F1), gvec(lie.E1)),
-        (gvec(lie.F2), gvec(lie.E2)),
-    ]
-    with pytest.raises(ValueError):
-        dirac_from_dual_pairs(pairs)
+    assert _dual_pair_sum(pairs, dirac.u_vec, dirac.c_vec) == dirac_operator()
 
 
 def test_all_lifted_elements_are_invariant():
@@ -182,7 +180,7 @@ def test_dk_is_pair_scaling_independent():
         (lie.H_VEC, Fraction(1, 2) * lie.H_VEC),
         (Fraction(1, 3) * lie.A_VEC, Fraction(9, 2) * lie.A_VEC),
     )
-    assert dk_element(pairs) == dk_element()
+    assert _dual_pair_sum(pairs, dirac.u_vec, dirac.alpha) == dk_element()
 
 
 def test_abelian_commutators_pass():
@@ -194,6 +192,33 @@ def test_abelian_commutators_pass():
 def test_casimir_expressions_pass():
     rep = dirac.verify_casimir_expressions()
     assert rep.passed, rep.to_text()
+
+
+def test_cub_expression_fails_when_the_polynomials_are_wrong(monkeypatch):
+    """The cubic element is built from d_abc, not from a..d, so a wrong d
+    in the polynomials is caught by the expression check."""
+    real = symext.polynomial_invariants
+
+    def perturbed(sym):
+        a, b, c, d = real(sym)
+        return a, b, c, d + a
+
+    dirac.lifted_generators.cache_clear()
+    dirac.cubic_element.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(symext, "polynomial_invariants", perturbed)
+            rep = dirac.verify_casimir_expressions()
+    finally:
+        dirac.lifted_generators.cache_clear()
+        dirac.cubic_element.cache_clear()
+    passed = {c.check_id: c.passed for c in rep.checks}
+    assert passed == {
+        "omega-expression": True,
+        "cub-expression": False,
+        "omega-central": True,
+        "cub-central": True,
+    }
 
 
 def test_product_filtration():

@@ -125,6 +125,14 @@ def test_selected_trace_values():
     assert lie.trace_form(lie.A_VEC, lie.A_VEC) == Fraction(2, 3)
 
 
+def test_dual_table_is_trace_form_dual():
+    for i in range(lie.DIM):
+        for j in range(lie.DIM):
+            assert lie.trace_form(gvec(i), lie.DUAL[j]) == (1 if i == j else 0)
+    for indices in (lie.K_INDICES, lie.P_INDICES):
+        assert all(lie.DUAL[i].in_span(indices) for i in indices)
+
+
 def test_antisymmetry_all_pairs():
     for x in BASIS:
         for y in BASIS:
