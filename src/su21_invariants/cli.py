@@ -8,12 +8,14 @@
 The verify command exits 1 exactly when some check fails, and 2 with an
 ``error: ...`` line on stderr for a bad argument or an ``--out`` path that
 cannot be written; reports are byte-identical across runs with the same
-configuration.
+configuration.  Every command exits 2 the same way when stdout cannot take
+its output, such as a pipe whose reader has gone or a full disk.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import expr, suites
@@ -41,6 +43,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> int:
+    """Print text on stdout; 0, or 2 with an ``error:`` line on stderr when
+    the write fails."""
+    try:
+        print(text, flush=True)
+    except OSError as err:
+        # Interpreter exit flushes stdout again: point it at devnull, so
+        # that whatever is left in the buffer cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write to stdout: %s" % err.strerror, file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_verify(args) -> int:
     try:
         report = suites.run_suite(args.suite, args.max_degree, args.max_filtration)
@@ -56,10 +74,10 @@ def _cmd_verify(args) -> int:
             message = "error: cannot write report to %s: %s" % (args.out, err.strerror)
             print(message, file=sys.stderr)
             return 2
-        print("%s: %s (report written to %s)" % (report.suite, report.summary, args.out))
-    else:
-        print(rendered)
-    return 0 if report.passed else 1
+        rendered = "%s: %s (report written to %s)" % (
+            report.suite, report.summary, args.out
+        )
+    return _write(rendered) or (0 if report.passed else 1)
 
 
 def _cmd_expr(args) -> int:
@@ -75,8 +93,7 @@ def _cmd_expr(args) -> int:
             print("error: %s" % problem, file=sys.stderr)
             return 2
         result = result * value
-    print(expr.format_element(result, args.context))
-    return 0
+    return _write(expr.format_element(result, args.context))
 
 
 def main(argv=None) -> int:

@@ -84,9 +84,7 @@ class UCElement(SparseElement):
         return out
 
     def __repr__(self):
-        from . import expr
-
-        return "UCElement(%s)" % expr.format_tensor(self, "*")
+        return "UCElement(%s)" % symext.format_tensor(self, "*")
 
 
 uc_scalar = UCElement.scalar
@@ -246,12 +244,10 @@ def lifted_generators() -> symext.InvariantGenerators:
 
 
 def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:
-    from . import expr
-
     diff = lhs - rhs
     if diff.is_zero():
         return CheckResult(check_id, anchor, True)
-    return CheckResult(check_id, anchor, False, expr.format_tensor(diff, "*"))
+    return CheckResult(check_id, anchor, False, symext.format_tensor(diff, "*"))
 
 
 def verify_sigma_tau_table() -> VerificationReport:
@@ -440,8 +436,6 @@ def verify_casimir_expressions() -> VerificationReport:
             - Fraction(3, 2) * lift.b,
         ),
     ]
-    from . import expr
-
     for name, elt in (("omega", omega), ("cub", cub)):
         bad = []
         for gi in range(lie.DIM):
@@ -450,7 +444,7 @@ def verify_casimir_expressions() -> VerificationReport:
             if not com.is_zero():
                 bad.append(
                     "[%s, %s] = %s"
-                    % (name, lie.BASIS_NAMES[gi], expr.format_tensor(com, "*"))
+                    % (name, lie.BASIS_NAMES[gi], symext.format_tensor(com, "*"))
                 )
         checks.append(
             CheckResult(

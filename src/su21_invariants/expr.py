@@ -1,4 +1,4 @@
-"""Element expressions: a small parser and deterministic pretty-printers.
+"""Element expressions: a small parser, and parsing and printing by context.
 
 Grammar (whitespace insensitive):
 
@@ -11,7 +11,8 @@ Grammar (whitespace insensitive):
     NUMBER  :=  digits ['/' digits]
 
 The same grammar serves four contexts which differ only in the symbols
-they admit and the algebra the operators act in:
+they admit and the algebra the operators act in; one table holds, per
+context, the letter constructors, the scalar and the printer:
 
     symmetric   S(g); symbols H1 H2 H E F E1 E2 F1 F2 a
     tensor      S(g) (x) Lambda(p); right of '(x)' the symbols E1 E2 F1 F2
@@ -21,28 +22,31 @@ they admit and the algebra the operators act in:
 
 The enveloping and clifford contexts both parse into ``dirac.UCElement``,
 U(sl3) as U(sl3) (x) 1 and C(p) as 1 (x) C(p).  An enveloping element
-prints with ``format_tensor``, whose unit-blade terms show the U-leg
-alone; a clifford element prints with ``format_c``, the blade of each key.
+prints with ``symext.format_tensor``, whose unit-blade terms show the U-leg
+alone; a clifford element with ``symext.format_c``, the blade of each key.
 
 H and a abbreviate H1 - H2 and H1 + H2.  Parentheses nest at most
 MAX_NESTING (100) levels deep, and an exponent is at most MAX_EXPONENT
-(32): the cost of a power grows quickly with its exponent.  The size of a
-power is capped as well: x^n with x of t terms may have up to
-C(t + n - 1, n) terms, the number of degree-n monomials in t letters, and
-that count is at most MAX_POWER_TERMS (20 000), so the power of all
-eight letters of g may go to 10 (19 448 terms) but not to 14; in the
-enveloping context that power takes about 2.5 seconds, and (E+F)^32
-about 0.7 seconds (Python 3.11, one core of a 2-vCPU Xeon).  A product
-x * y, whether by '*', '^^' or '(x)', walks every pair of terms, so the
-term counts of its factors may multiply to at most MAX_PRODUCT_PAIRS
-(2 000 000): in the symmetric context a product of 1 716 by 1 166 terms
-(2.0 million pairs) takes about 2.2 seconds on the same machine, while
-the square of the power of all eight letters to 10 (378 million pairs)
-is refused.  In the enveloping context a pair costs more the higher the
-degree of the right factor, since PBW products straighten from the
-right, so there a pair of factors of degrees p and q counts q (p + q) / 2
-times.  CPU time of the product alone, L the sum of the eight letters
-(Python 3.11.7, one core of a shared 2-vCPU Xeon):
+(32): the cost of a power grows quickly with its exponent.  The size of
+a power is capped as well: x^n with x of t terms may have up to
+C(t + n - 1, n) terms, the number of degree-n monomials in t letters,
+and that count is at most MAX_POWER_TERMS (20 000), so the power of all
+eight letters of g may go to 10 (19 448 terms) but not to 11.  The cap
+counts commutative monomials, so it undercounts a PBW power: in the
+enveloping context the power of all eight letters to 10 has 43 469 terms
+and takes about 3.7 seconds, and (E+F)^32 has 8 671 terms against a
+count of 33 and takes about 0.9 seconds (CPU time of the parse, Python
+3.11.7, one core of a shared 2-vCPU Xeon).  A product x * y, whether by
+'*', '^^' or '(x)', walks every pair of terms, so the term counts of its
+factors may multiply to at most MAX_PRODUCT_PAIRS (2 000 000): in the
+symmetric context a product of 1 716 by 1 166 terms (2.0 million pairs)
+takes about 2.2 seconds on the same machine, while the square of the
+power of all eight letters to 10 (378 million pairs) is refused.  In the
+enveloping context a pair costs more the higher the degree of the right
+factor, since PBW products straighten from the right, so there a pair of
+factors of degrees p and q counts q (p + q) / 2 times.  CPU time of the
+product alone, L the sum of the eight letters (Python 3.11.7, one core
+of a shared 2-vCPU Xeon):
 
     product               pairs       counted as   CPU time
     L^5 * L^5             1 597 696   39 942 400   about 71 s   refused
@@ -67,11 +71,12 @@ exactly, and print(parse(s)) canonicalizes s.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import dirac, lie, symext
+from .symext import format_c, format_tensor
 
-CONTEXTS = ("symmetric", "enveloping", "clifford", "tensor")
 MAX_NESTING = 100
 MAX_EXPONENT = 32
 MAX_POWER_TERMS = 20000
@@ -181,7 +186,7 @@ def tokenize(text: str) -> list:
     return out
 
 
-def _symbols(gen, indices=range(lie.DIM)) -> dict:
+def _symbols(gen, indices) -> dict:
     """Symbol table of a letter constructor over the given basis indices;
     H and a join it when the Cartan letters are there."""
     table = {lie.BASIS_NAMES[i]: gen(i) for i in indices}
@@ -191,15 +196,38 @@ def _symbols(gen, indices=range(lie.DIM)) -> dict:
     return table
 
 
+_G = range(lie.DIM)
+_P = lie.P_INDICES
+
+# Per context, in CONTEXTS order: the letters (constructor, basis indices),
+# the exterior letters right of '(x)' or None, the scalar and the printer.
+_CONTEXTS = {
+    "symmetric": ((symext.sym_gen, _G), None, symext.scalar, format_tensor),
+    "enveloping": (
+        (dirac.u_gen, _G), None, dirac.uc_scalar, partial(format_tensor, sep="*")
+    ),
+    "clifford": ((dirac.c_gen, _P), None, dirac.uc_scalar, format_c),
+    "tensor": (
+        (symext.sym_gen, _G), (symext.ext_gen, _P), symext.scalar, format_tensor
+    ),
+}
+CONTEXTS = tuple(_CONTEXTS)
+
+
+def _context(context: str) -> tuple:
+    if context not in _CONTEXTS:
+        raise ValueError("unknown context %r" % context)
+    return _CONTEXTS[context]
+
+
 class _Parser:
-    def __init__(self, tokens, symbols, ext_symbols, scalar, allow_tensor):
+    def __init__(self, tokens, symbols, ext_symbols, scalar):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.symbols = symbols
         self.ext_symbols = ext_symbols
         self.scalar = scalar
-        self.allow_tensor = allow_tensor
 
     def peek(self):
         return self.tokens[self.pos]
@@ -246,7 +274,7 @@ class _Parser:
     def term(self, ext_mode):
         value = self.product(ext_mode)
         if self.peek()[0] == "tensor":
-            if ext_mode or not self.allow_tensor:
+            if ext_mode or not self.ext_symbols:
                 self.fail("'(x)' is only available in the tensor context")
             position = self.advance()[2]
             value = self.times(value, self.product(True), position)
@@ -321,93 +349,11 @@ class _Parser:
 
 def parse_element(text: str, context: str):
     """Parse an expression in the chosen context; canonical element out."""
-    if context not in CONTEXTS:
-        raise ValueError("unknown context %r" % context)
+    letters, ext_letters, scalar, _ = _context(context)
     tokens = tokenize(text)
-    if context in ("symmetric", "tensor"):
-        tensor = context == "tensor"
-        ext = _symbols(symext.ext_gen, lie.P_INDICES) if tensor else {}
-        parser = _Parser(tokens, _symbols(symext.sym_gen), ext, symext.scalar, tensor)
-    elif context == "enveloping":
-        parser = _Parser(tokens, _symbols(dirac.u_gen), {}, dirac.uc_scalar, False)
-    else:
-        letters = _symbols(dirac.c_gen, lie.P_INDICES)
-        parser = _Parser(tokens, letters, {}, dirac.uc_scalar, False)
-    return parser.parse()
-
-
-def _exps_str(exps) -> str | None:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(lie.BASIS_NAMES[i])
-        elif e:
-            parts.append("%s^%d" % (lie.BASIS_NAMES[i], e))
-    return "*".join(parts) if parts else None
-
-
-def _mask_str(mask, sep) -> str | None:
-    names = [lie.BASIS_NAMES[lie.E1 + k] for k in range(4) if mask >> k & 1]
-    return sep.join(names) if names else None
-
-
-def _join_terms(terms) -> str:
-    if not terms:
-        return "0"
-    out = []
-    for i, (q, body) in enumerate(terms):
-        mag = abs(q)
-        if body is None:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = "%s*%s" % (mag, body)
-        if i == 0:
-            out.append("-" + text if q < 0 else text)
-        else:
-            out.append((" - " if q < 0 else " + ") + text)
-    return "".join(out)
-
-
-def format_tensor(x, sep="^^") -> str:
-    """Print an element of S(g) (x) Lambda(p), or with sep="*" of
-    U(g) (x) C(p); sep joins the letters of the right tensor leg."""
-    terms = []
-    for key in sorted(
-        x.coeffs, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True
-    ):
-        exps, mask = key
-        q = x.coeffs[key]
-        left = _exps_str(exps)
-        right = _mask_str(mask, sep)
-        if right is None:
-            terms.append((q, left))
-        else:
-            lead = left if left is not None else str(abs(q))
-            body = "%s (x) %s" % (lead, right)
-            if left is None:
-                # magnitude already folded into the left leg
-                terms.append((1 if q > 0 else -1, body))
-            else:
-                terms.append((q, body))
-    return _join_terms(terms)
-
-
-def format_c(x) -> str:
-    """Print an element of C(p): a U (x) C element whose keys all carry
-    the unit monomial, written as a word in the C-leg alone."""
-    terms = []
-    for key in sorted(x.coeffs, key=lambda k: (k[1].bit_count(), k), reverse=True):
-        terms.append((x.coeffs[key], _mask_str(key[1], "*")))
-    return _join_terms(terms)
+    ext = _symbols(*ext_letters) if ext_letters else {}
+    return _Parser(tokens, _symbols(*letters), ext, scalar).parse()
 
 
 def format_element(x, context: str) -> str:
-    if context in ("symmetric", "tensor"):
-        return format_tensor(x)
-    if context == "enveloping":
-        return format_tensor(x, "*")
-    if context == "clifford":
-        return format_c(x)
-    raise ValueError("unknown context %r" % context)
+    return _context(context)[3](x)

@@ -183,16 +183,10 @@ class _Rows:
             yield {index[k]: v for k, v in x.coeffs.items()}
 
 
-def rows_from_elements(elements):
-    """Coordinate rows of elements over their keys in sorted order, as
-    ``_Rows``, and that key order."""
-    keys = sorted({k for x in elements for k in x.coeffs})
-    return _Rows(elements, {k: i for i, k in enumerate(keys)}), keys
-
-
 def rank_of_elements(elements) -> int:
-    rows, _ = rows_from_elements(elements)
-    return linalg.rank_of_rows(rows)
+    """Rank of elements, eliminated on their own keys; the elimination
+    copies each row, so the elements are left unchanged."""
+    return linalg.rank_of_rows([x.coeffs for x in elements])
 
 
 # (name, vector) of the k-generators H1, H2, E, F.
@@ -395,7 +389,7 @@ def invariant_subspace(n: int) -> list:
     return list(basis)
 
 
-def verify_table(max_degree: int = 8) -> VerificationReport:
+def verify_table(max_degree: int) -> VerificationReport:
     checks = []
     for n in range(max_degree + 1):
         expect = expected_dimension(n)
@@ -580,7 +574,7 @@ def product_basis_members(n: int) -> tuple:
     return tuple((label, x) for label, x, _ in family)
 
 
-def verify_product_basis(max_degree: int = 8) -> VerificationReport:
+def verify_product_basis(max_degree: int) -> VerificationReport:
     checks = []
     for n in range(max_degree + 1):
         members = product_basis_members(n)
@@ -617,7 +611,7 @@ def lifted_product_members(max_degree: int) -> tuple:
     return tuple(sorted(family, key=lambda item: (item[2], item[0])))
 
 
-def verify_lifted_basis_slice(max_filtration: int = 4) -> VerificationReport:
+def verify_lifted_basis_slice(max_filtration: int) -> VerificationReport:
     checks = []
     t_rank = rank_of_elements([x for _, x in dirac.lifted_generators().t_products()])
     checks.append(
@@ -663,7 +657,7 @@ def check_slice_bound(bound: int) -> None:
         raise ValueError("slice bound is capped at %d" % MAX_SLICE_BOUND)
 
 
-def verify_ideal_slice(bound: int = 3) -> VerificationReport:
+def verify_ideal_slice(bound: int) -> VerificationReport:
     """Products u D v cannot meet the pure-k coordinate subspace.
 
     Every key of D carries a p-letter in its U-leg; the same must hold for
@@ -686,9 +680,10 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     members = lifted_product_members(bound)
     products = []
     for _, u, du in members:
+        ud = u * D
         for _, v, dv in members:
             if du + dv <= bound:
-                products.append(u * D * v)
+                products.append(ud * v)
     keys = sorted(
         {k for x in products for k in x.coeffs}, key=lambda k: (not any(k[0][4:]), k)
     )
@@ -702,15 +697,13 @@ def verify_ideal_slice(bound: int = 3) -> VerificationReport:
     pure_k = sorted(col for col in pivots if not any(keys[col][0][4:]))
     residual = None
     if pure_k:
-        from . import expr
-
         witness = dirac.UCElement(
             {keys[c]: v for c, v in pivots[pure_k[0]].items()}
         )
         residual = "rank drops from %d to %d; witness: %s" % (
             full_rank,
             full_rank - len(pure_k),
-            expr.format_tensor(witness, "*"),
+            symext.format_tensor(witness, "*"),
         )
     checks.append(
         CheckResult(

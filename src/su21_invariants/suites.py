@@ -43,7 +43,7 @@ def _killing_form(i: int, j: int):
     return total
 
 
-def _suite_lie(config) -> VerificationReport:
+def _suite_lie() -> VerificationReport:
     checks = []
     basis = [lie.gvec(i) for i in range(lie.DIM)]
 
@@ -158,7 +158,7 @@ def _suite_lie(config) -> VerificationReport:
     return VerificationReport("lie", {}, checks)
 
 
-def _suite_lemmas(config) -> VerificationReport:
+def _suite_lemmas() -> VerificationReport:
     reports = [invariants.verify_sym_k_decomposition(n) for n in range(2, 7)]
     reports += [invariants.verify_sym_p_decomposition(n) for n in range(2, 6)]
     reports.append(invariants.verify_ext_decomposition())
@@ -167,8 +167,8 @@ def _suite_lemmas(config) -> VerificationReport:
 
 # One runner per suite, called with (max_degree, max_filtration).
 _RUNNERS = {
-    "lie": lambda deg, filt: _suite_lie({}),
-    "lemmas": lambda deg, filt: _suite_lemmas({}),
+    "lie": lambda deg, filt: _suite_lie(),
+    "lemmas": lambda deg, filt: _suite_lemmas(),
     "table": lambda deg, filt: invariants.verify_table(deg),
     "st-basis": lambda deg, filt: invariants.verify_product_basis(deg),
     "sigma-tau": lambda deg, filt: dirac.verify_sigma_tau_table(),

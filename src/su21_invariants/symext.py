@@ -13,7 +13,9 @@ action that builds new keys.  ad(H1) and ad(H2) are diagonal and only
 rescale keys.  One per-key routine (``_key_terms``) turns the tables into
 the terms of ad(z) on one key; ``ad_action`` adds them up over an
 element, and ``ad_images`` hands them out per key, for callers that apply
-the action to many elements on the same keys.
+the action to many elements on the same keys.  U(g) (x) C(p) keys its
+elements the same way, so ``format_tensor`` and ``format_c`` here print
+both algebras: every failed check's residual and both ``repr``s.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
 is integral, a ``Fraction`` otherwise, never a float.  Every weight,
@@ -64,6 +66,70 @@ _MERGE_SIGNS = tuple(
 )
 
 
+def _exps_str(exps) -> str | None:
+    parts = []
+    for i, e in enumerate(exps):
+        if e == 1:
+            parts.append(lie.BASIS_NAMES[i])
+        elif e:
+            parts.append("%s^%d" % (lie.BASIS_NAMES[i], e))
+    return "*".join(parts) if parts else None
+
+
+def _mask_str(mask, sep) -> str | None:
+    names = [lie.BASIS_NAMES[lie.E1 + k] for k in range(4) if mask >> k & 1]
+    return sep.join(names) if names else None
+
+
+def _join_terms(terms) -> str:
+    if not terms:
+        return "0"
+    out = []
+    for i, (q, body) in enumerate(terms):
+        mag = abs(q)
+        if body is None:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = "%s*%s" % (mag, body)
+        if i == 0:
+            out.append("-" + text if q < 0 else text)
+        else:
+            out.append((" - " if q < 0 else " + ") + text)
+    return "".join(out)
+
+
+def format_tensor(x, sep="^^") -> str:
+    """Print an element of S(g) (x) Lambda(p), or with sep="*" of
+    U(g) (x) C(p); sep joins the letters of the right tensor leg."""
+    terms = []
+    for key in sorted(
+        x.coeffs, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True
+    ):
+        exps, mask = key
+        q = x.coeffs[key]
+        left = _exps_str(exps)
+        right = _mask_str(mask, sep)
+        if right is None:
+            terms.append((q, left))
+        elif left is None:
+            # the magnitude stands in for the empty left leg
+            terms.append((1 if q > 0 else -1, "%s (x) %s" % (abs(q), right)))
+        else:
+            terms.append((q, "%s (x) %s" % (left, right)))
+    return _join_terms(terms)
+
+
+def format_c(x) -> str:
+    """Print an element of C(p): a U (x) C element whose keys all carry
+    the unit monomial, written as a word in the C-leg alone."""
+    terms = []
+    for key in sorted(x.coeffs, key=lambda k: (k[1].bit_count(), k), reverse=True):
+        terms.append((x.coeffs[key], _mask_str(key[1], "*")))
+    return _join_terms(terms)
+
+
 class SymTensorElement(SparseElement):
     """Element of S(g) (x) Lambda(p); {(exponents, mask): coefficient}."""
 
@@ -91,9 +157,7 @@ class SymTensorElement(SparseElement):
         return out
 
     def __repr__(self):
-        from . import expr
-
-        return "SymTensorElement(%s)" % expr.format_tensor(self)
+        return "SymTensorElement(%s)" % format_tensor(self)
 
 
 scalar = SymTensorElement.scalar

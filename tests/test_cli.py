@@ -1,7 +1,13 @@
 """Command line behavior: exit codes, report formats, determinism."""
 
+import errno
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +231,73 @@ def test_mul_command(capsys):
     assert capsys.readouterr().out.strip() == "E1*F1"
     assert cli.main(["mul", "--context", "enveloping", "F", "E"]) == 0
     assert capsys.readouterr().out.strip() == "E*F - H1 + H2"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_examples():
+    """(argv, printed line) of each eval and mul example in README.md."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [
+        (shlex.split(line)[2:], lines[i + 1])
+        for i, line in enumerate(lines)
+        if line.startswith(("$ su21-invariants eval ", "$ su21-invariants mul "))
+    ]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 3
+    for argv, line in examples:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+# One command of each kind, each with kilobytes of output.
+_STDOUT_COMMANDS = (
+    ["verify", "all"],
+    ["eval", "--context", "symmetric", "(H1+H2+E+F+E1+E2+F1+F2)^6"],
+    ["mul", "--context", "symmetric", "(E+F+E1)^5", "(H+F2)^5"],
+)
+
+
+def _run_cli(argv, stdout):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "su21_invariants.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+
+
+def _assert_one_error_line(done, reason):
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err == "error: cannot write to stdout: %s\n" % reason
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_stdout_pipe_without_reader_is_a_clean_error(argv):
+    # The state a reader such as `head -1` leaves behind once it has exited;
+    # closing the read end before the command starts makes every write fail.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_cli(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(done, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_full_stdout_is_a_clean_error(argv):
+    with open("/dev/full", "wb") as full:
+        done = _run_cli(argv, full)
+    _assert_one_error_line(done, os.strerror(errno.ENOSPC))
 
 
 def test_run_suite_all_merges_everything():

@@ -71,6 +71,13 @@ def _all_keys(n):
     return tuple(keys)
 
 
+def _coordinate_rows(elements):
+    """Rows of elements over their keys in sorted order, and that order."""
+    keys = sorted({k for x in elements for k in x.coeffs})
+    index = {k: i for i, k in enumerate(keys)}
+    return [{index[k]: v for k, v in x.coeffs.items()} for x in elements], keys
+
+
 def _unblocked_joint_kernel_dim(n):
     """Kernel of all four k-generators on the full degree-n slice, with no
     weight restriction and no signature blocking."""
@@ -269,6 +276,24 @@ def test_low_degree_invariants():
     assert len(inv.invariant_subspace(3)) == 10
 
 
+def test_rank_of_elements_leaves_the_elements_unchanged():
+    # The elimination reads each element's own coefficient dict: rescaling
+    # to integers, removing content and combining rows must work on copies.
+    e, f, w = symext.sym_gen(lie.E), symext.sym_gen(lie.F), symext.ext_gen(lie.E1)
+    elements = [
+        Fraction(1, 2) * e + Fraction(1, 3) * f,
+        6 * e + 4 * f,
+        3 * e + 2 * f,
+        e,
+        2 * (e * w) - f,
+    ]
+    dicts = [x.coeffs for x in elements]
+    before = [dict(d) for d in dicts]
+    assert inv.rank_of_elements(elements) == 3
+    assert [x.coeffs for x in elements] == before
+    assert all(x.coeffs is d for x, d in zip(elements, dicts))
+
+
 def test_invariants_are_annihilated_by_k():
     for n in range(6):
         for x in inv.invariant_subspace(n):
@@ -390,7 +415,7 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
     members = inv.lifted_product_members(6)
     fresh = []
     for m in range(7):
-        rows, _ = inv.rows_from_elements([x for _, x, deg in members if deg <= m])
+        rows, _ = _coordinate_rows([x for _, x, deg in members if deg <= m])
         fresh.append(linalg.rank_of_rows(rows))
     assert ranks == fresh
     assert fresh == [sum(EXPECTED_DIMS[: m + 1]) for m in range(7)]
@@ -482,7 +507,7 @@ def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):
             for _, v, dv in members
             if du + dv <= bound
         ]
-        rows, keys = inv.rows_from_elements(products)
+        rows, keys = _coordinate_rows(products)
         full_rank = linalg.rank_of_rows(rows)
         keep = {i for i, (e, _m) in enumerate(keys) if any(e[4:])}
         proj_rank = linalg.rank_of_rows(
