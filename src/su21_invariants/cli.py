@@ -8,13 +8,18 @@
 The verify command exits 1 exactly when some check fails, and 2 with an
 ``error: ...`` line on stderr for a bad argument or an ``--out`` path that
 cannot be written; reports are byte-identical across runs with the same
-configuration.  Every command exits 2 the same way when stdout cannot take
-its output, such as a pipe whose reader has gone or a full disk.
+configuration.  A bound is a bad argument when it is negative, when the
+suite does not read it, or when it is over that suite's cap; the table in
+``suites`` holds each suite's bound, default and cap, and for ``all`` the
+smallest cap applies.  Every command exits 2 the same way when stdout
+cannot take its output: a pipe whose reader has gone, a full disk, or a
+stdout that is closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -45,15 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(text: str) -> int:
     """Print text on stdout; 0, or 2 with an ``error:`` line on stderr when
-    the write fails."""
+    the write fails or stdout is closed."""
     try:
+        if sys.stdout is None:
+            # Python starts with sys.stdout None when file descriptor 1 is
+            # not open, and print() would then write nothing.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(text, flush=True)
     except OSError as err:
-        # Interpreter exit flushes stdout again: point it at devnull, so
-        # that whatever is left in the buffer cannot fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # Interpreter exit flushes stdout again: point it at devnull, so
+            # that whatever is left in the buffer cannot fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print("error: cannot write to stdout: %s" % err.strerror, file=sys.stderr)
         return 2
     return 0

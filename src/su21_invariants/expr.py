@@ -273,11 +273,16 @@ class _Parser:
 
     def term(self, ext_mode):
         value = self.product(ext_mode)
-        if self.peek()[0] == "tensor":
-            if ext_mode or not self.ext_symbols:
+        # Right of '(x)' the term goes on in the exterior leg, which a second
+        # '(x)' cannot enter.
+        while self.peek()[0] == "tensor":
+            if not self.ext_symbols:
                 self.fail("'(x)' is only available in the tensor context")
+            if ext_mode:
+                self.fail("the right (exterior) leg of '(x)' cannot hold another '(x)'")
             position = self.advance()[2]
             value = self.times(value, self.product(True), position)
+            ext_mode = True
         return value
 
     def product(self, ext_mode):

@@ -648,15 +648,6 @@ def verify_lifted_basis_slice(max_filtration: int) -> VerificationReport:
     )
 
 
-MAX_SLICE_BOUND = 7
-
-
-def check_slice_bound(bound: int) -> None:
-    """Reject an ideal-slice bound above MAX_SLICE_BOUND."""
-    if bound > MAX_SLICE_BOUND:
-        raise ValueError("slice bound is capped at %d" % MAX_SLICE_BOUND)
-
-
 def verify_ideal_slice(bound: int) -> VerificationReport:
     """Products u D v cannot meet the pure-k coordinate subspace.
 
@@ -668,7 +659,6 @@ def verify_ideal_slice(bound: int) -> VerificationReport:
     An echelon row that leads on a pure-k column lives on pure-k columns
     only; a failing check prints the first such row as its witness.
     """
-    check_slice_bound(bound)
     D = dirac.dirac_operator()
     checks = [
         CheckResult(

@@ -98,6 +98,16 @@ def test_invalid_bounds_are_errors(capsys):
     assert "nonnegative" in capsys.readouterr().err
     with pytest.raises(ValueError):
         suites.run_suite("uc-basis", max_filtration=-2)
+    # A bound that the suite does not read is refused, not ignored.
+    unread = (
+        (["lie", "--max-degree", "3"], "suite lie reads no max_degree"),
+        (["table", "--max-filtration", "3"], "suite table reads no max_filtration"),
+    )
+    for argv, message in unread:
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
 
 
 def test_eval_command(capsys):
@@ -262,10 +272,10 @@ _STDOUT_COMMANDS = (
 )
 
 
-def _run_cli(argv, stdout):
+def _run_cli(argv, stdout, prefix=()):
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
-        [sys.executable, "-m", "su21_invariants.cli", *argv],
+        [*prefix, sys.executable, "-m", "su21_invariants.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
@@ -300,6 +310,14 @@ def test_full_stdout_is_a_clean_error(argv):
     _assert_one_error_line(done, os.strerror(errno.ENOSPC))
 
 
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_closed_stdout_is_a_clean_error(argv):
+    # The shell closes file descriptor 1 before the command starts, so the
+    # interpreter starts with no stdout at all.
+    done = _run_cli(argv, None, prefix=("sh", "-c", 'exec "$@" >&-', "sh"))
+    _assert_one_error_line(done, os.strerror(errno.EBADF))
+
+
 def test_run_suite_all_merges_everything():
     rep = suites.run_suite("all", max_degree=2, max_filtration=2)
     assert rep.suite == "all"
@@ -310,42 +328,45 @@ def test_run_suite_all_merges_everything():
     assert any(i.startswith("ideal-slice:") for i in ids)
 
 
-def test_all_rejects_slice_bound_before_any_suite(monkeypatch):
+def _refuse_every_suite(monkeypatch):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a suite ran before the bound was checked")
+        raise AssertionError("a suite ran before its bound was checked")
 
-    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
-    cap = suites.invariants.MAX_SLICE_BOUND
-    with pytest.raises(ValueError, match="slice bound is capped at %d" % cap):
+    for row in suites.SUITES.values():
+        monkeypatch.setattr(row.owner, row.runner, must_not_run)
+
+
+def _capped(bound):
+    """Each suite that reads the bound, with its cap from the table, and
+    'all', capped at the smallest of them."""
+    caps = {n: row.cap for n, row in suites.SUITES.items() if row.bound == bound}
+    caps["all"] = min(caps.values())
+    return [pytest.param(name, cap, id=name) for name, cap in caps.items()]
+
+
+def test_all_rejects_slice_bound_before_any_suite(monkeypatch):
+    _refuse_every_suite(monkeypatch)
+    cap = suites.SUITES["ideal-slice"].cap
+    with pytest.raises(ValueError, match="max_filtration is capped at %d" % cap):
         suites.run_suite("all", max_filtration=cap + 1)
 
 
-def test_max_degree_is_capped_before_any_suite(monkeypatch, capsys):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a suite ran before the degree was checked")
-
-    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
-    monkeypatch.setattr(suites.invariants, "verify_product_basis", must_not_run)
-    over = str(suites.MAX_DEGREE + 1)
-    for suite in ("table", "st-basis", "all"):
-        assert cli.main(["verify", suite, "--max-degree", over]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "capped at %d" % suites.MAX_DEGREE in err
+@pytest.mark.parametrize("suite, cap", _capped("max_degree"))
+def test_max_degree_is_capped_before_any_suite(suite, cap, monkeypatch, capsys):
+    _refuse_every_suite(monkeypatch)
+    assert cli.main(["verify", suite, "--max-degree", str(cap + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_degree is capped at %d\n" % cap
 
 
-def test_max_filtration_is_capped_before_any_suite(monkeypatch, capsys):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a suite ran before the filtration was checked")
-
-    monkeypatch.setattr(suites.invariants, "verify_lifted_basis_slice", must_not_run)
-    monkeypatch.setattr(suites.invariants, "verify_ideal_slice", must_not_run)
-    monkeypatch.setattr(suites.invariants, "verify_table", must_not_run)
-    over = str(suites.MAX_FILTRATION + 1)
-    for suite in ("uc-basis", "ideal-slice", "all"):
-        assert cli.main(["verify", suite, "--max-filtration", over]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "capped at %d" % suites.MAX_FILTRATION in err
+@pytest.mark.parametrize("suite, cap", _capped("max_filtration"))
+def test_max_filtration_is_capped_before_any_suite(suite, cap, monkeypatch, capsys):
+    _refuse_every_suite(monkeypatch)
+    assert cli.main(["verify", suite, "--max-filtration", str(cap + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_filtration is capped at %d\n" % cap
 
 
 def test_run_suite_unknown_name():

@@ -85,6 +85,22 @@ def test_tensor_separator_outside_tensor_context_fails():
         parse_element("1 (x) E1", "enveloping")
 
 
+def test_second_tensor_separator_is_refused_at_its_position():
+    nested = "the right (exterior) leg of '(x)' cannot hold another '(x)'"
+    for text, position in (("1 (x) (E1 (x) F1)", 10), ("E (x) E1 (x) F1", 9)):
+        with pytest.raises(ExprError) as err:
+            parse_element(text, "tensor")
+        assert str(err.value) == "%s (at position %d)" % (nested, position)
+    with pytest.raises(ExprError) as err:
+        parse_element("E (x) F", "symmetric")
+    assert str(err.value) == (
+        "'(x)' is only available in the tensor context (at position 2)"
+    )
+    # A parenthesized left leg may hold its own '(x)'.
+    parsed = parse_element("(E (x) E1) (x) F1", "tensor")
+    assert format_tensor(parsed) == "E (x) E1^^F1"
+
+
 def test_bad_exponent():
     with pytest.raises(ExprError):
         parse_element("E^(2)", "symmetric")

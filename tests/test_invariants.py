@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from su21_invariants import invariants as inv
-from su21_invariants import lie, linalg, symext
+from su21_invariants import lie, linalg, suites, symext
 from su21_invariants.lie import gvec
 
 EXPECTED_DIMS = [1, 1, 6, 10, 23, 39, 64, 96, 141]
@@ -485,8 +485,9 @@ def test_ideal_slice():
     for bound in (2, 3):
         rep = inv.verify_ideal_slice(bound)
         assert rep.passed, rep.to_text()
-    with pytest.raises(ValueError):
-        inv.verify_ideal_slice(inv.MAX_SLICE_BOUND + 1)
+    cap = suites.SUITES["ideal-slice"].cap
+    with pytest.raises(ValueError, match="max_filtration is capped at %d" % cap):
+        suites.run_suite("ideal-slice", max_filtration=cap + 1)
 
 
 def test_ideal_slice_meeting_pure_k_is_a_fail_check(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from su21_invariants import lie
+from su21_invariants import lie, suites
 from su21_invariants.lie import GVector, gvec
 
 
@@ -218,3 +218,22 @@ def test_from_matrix_rejects_trace():
     )
     with pytest.raises(ValueError):
         lie.from_matrix(bad)
+
+
+def test_broken_bracket_fails_the_lie_suite(monkeypatch):
+    # One wrong bracket, [H1, E1] = E1 + H1, read by both orders of the pair.
+    bracket = lie.bracket
+    h1, e1 = gvec(lie.H1), gvec(lie.E1)
+
+    def broken(x, y):
+        value = bracket(x, y)
+        return value + h1 if (x, y) == (h1, e1) else value
+
+    monkeypatch.setattr(lie, "bracket", broken)
+    checks = {c.check_id: c for c in suites.run_suite("lie").checks}
+    assert not checks["antisymmetry"].passed
+    assert checks["antisymmetry"].residual == "2 failing pairs"
+    assert not checks["jacobi"].passed
+    assert checks["jacobi"].residual == "15 failing triples"
+    assert not checks["cartan-brackets"].passed
+    assert checks["cartan-brackets"].residual == "[H1,E1]"
