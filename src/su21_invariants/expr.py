@@ -30,13 +30,16 @@ MAX_NESTING (100) levels deep, and an exponent is at most MAX_EXPONENT
 (32): the cost of a power grows quickly with its exponent.  The size of
 a power is capped as well: x^n with x of t terms may have up to
 C(t + n - 1, n) terms, the number of degree-n monomials in t letters,
-and that count is at most MAX_POWER_TERMS (20 000), so the power of all
-eight letters of g may go to 10 (19 448 terms) but not to 11.  The cap
-counts commutative monomials, so it undercounts a PBW power: in the
-enveloping context the power of all eight letters to 10 has 43 469 terms
-and takes about 3.7 seconds, and (E+F)^32 has 8 671 terms against a
-count of 33 and takes about 0.9 seconds (CPU time of the parse, Python
-3.11.7, one core of a shared 2-vCPU Xeon).  A product x * y, whether by
+and that count is at most MAX_POWER_TERMS (20 000), so in the symmetric
+and tensor contexts the power of all eight letters of g may go to 10
+(19 448 terms) but not to 11.  In the enveloping and clifford contexts
+straightening adds every lower degree, so there the count is
+C(t + n, n), the monomials of degree at most n: the power L^n of all
+eight letters has 12 758 terms at n = 8 against a count of 12 870,
+24 073 against 24 310 at 9 and 43 469 against 43 758 at 10, and takes
+0.67, 1.49 and 3.87 seconds (CPU time of the parse, Python 3.11.7, one
+core of a shared 2-vCPU Xeon), so L^8 is accepted and L^9 refused;
+(E+F)^32 counts 561.  A product x * y, whether by
 '*', '^^' or '(x)', walks every pair of terms, so the term counts of its
 factors may multiply to at most MAX_PRODUCT_PAIRS (2 000 000): in the
 symmetric context a product of 1 716 by 1 166 terms (2.0 million pairs)
@@ -317,7 +320,13 @@ class _Parser:
                     "exponent %d exceeds the cap of %d" % (exponent, MAX_EXPONENT)
                 )
             terms = len(value.coeffs)
-            size = comb(max(terms, 1) + exponent - 1, exponent)
+            t = max(terms, 1)
+            if isinstance(value, dirac.UCElement):
+                # Straightening adds every lower degree: all the monomials
+                # of degree at most n.
+                size = comb(t + exponent, exponent)
+            else:
+                size = comb(t + exponent - 1, exponent)
             if size > MAX_POWER_TERMS:
                 self.fail(
                     "a power of %d terms to the %d may have %d terms, over the cap of %d"

@@ -51,12 +51,16 @@ kernel of every degree built is kept, so a call for any degree builds
 only the degrees above the highest one built before.
 
 The lifted product family of ``uc-basis`` is checked at every filtration
-step with one echelon carried across the steps: one key order is fixed for
-all members, the degree-m rows extend the echelon of the lower degrees,
-and its size after step m is the rank of all members of degree <= m.  No
-rank is recomputed from scratch.  The rows are built per step, one at a
-time as the elimination reads them, so no second copy of the members sits
-beside the members and the echelon.
+step with one echelon carried across the steps: the degree-m rows extend
+the echelon of the lower degrees, and its size after step m is the rank
+of all members of degree <= m.  No rank is recomputed from scratch.  The
+rows are the members' own coefficient dicts, eliminated on their key of
+highest filtration degree first.  That top-degree part of a lifted member
+is its ``st-basis`` member, the symbol of the ``gr`` argument (Huang and
+Pandzic, Dirac Operators in Representation Theory, 2006), so rows of
+one degree rarely meet: most members are primitive and become pivots
+as they are, and no second copy of the members sits beside the members
+and the echelon.
 """
 
 from __future__ import annotations
@@ -166,7 +170,12 @@ class _Rows:
     as the elimination reads them, so only the current row is held.  It
     has a length and can be read again, so a wrapper of ``rank_of_rows``
     that counts rows and nonzeros (the benchmark's per-layer spans) works
-    on it as on a list."""
+    on it as on a list.
+
+    Only ``ideal-slice`` uses it.  Its products are mostly redundant, so
+    nearly every row is combined and few pivots could be kept uncopied,
+    and eliminating on int columns, pure-k last, is much faster than a
+    lead rule on the products' own keys."""
 
     __slots__ = ("elements", "index")
 
@@ -184,8 +193,8 @@ class _Rows:
 
 
 def rank_of_elements(elements) -> int:
-    """Rank of elements, eliminated on their own keys; the elimination
-    copies each row, so the elements are left unchanged."""
+    """Rank of elements, eliminated on their own coefficient dicts, which
+    the elimination reads and never modifies."""
     return linalg.rank_of_rows([x.coeffs for x in elements])
 
 
@@ -611,6 +620,13 @@ def lifted_product_members(max_degree: int) -> tuple:
     return tuple(sorted(family, key=lambda item: (item[2], item[0])))
 
 
+def _top_degree_first(row):
+    """The lead of a ``uc-basis`` row: its key of highest filtration
+    degree, the smallest such key on a tie."""
+    key_degree = dirac.UCElement.key_degree
+    return min(row, key=lambda k: (-key_degree(k), k))
+
+
 def verify_lifted_basis_slice(max_filtration: int) -> VerificationReport:
     checks = []
     t_rank = rank_of_elements([x for _, x in dirac.lifted_generators().t_products()])
@@ -623,15 +639,13 @@ def verify_lifted_basis_slice(max_filtration: int) -> VerificationReport:
         )
     )
     members = lifted_product_members(max_filtration)
-    keys = sorted({k for _, x, _ in members for k in x.coeffs})
-    index = {k: i for i, k in enumerate(keys)}
     # The degree-m rows extend one echelon; its size is the rank up to m.
     pivots = {}
     count = 0
     for m in range(max_filtration + 1):
-        step = _Rows([x for _, x, deg in members if deg == m], index)
+        step = [x.coeffs for _, x, deg in members if deg == m]
         count += len(step)
-        rank = linalg.rank_of_rows(step, pivots)
+        rank = linalg.rank_of_rows(step, pivots, _top_degree_first)
         expect = sum(expected_dimension(k) for k in range(m + 1))
         checks.append(
             CheckResult(

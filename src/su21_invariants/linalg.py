@@ -13,16 +13,23 @@ row and no multiplication.  Division happens only where a result
 leaves the integers: the normalization of ``rref_rows`` to unit pivots,
 and the kernel entries of ``kernel_of_rows``.
 
+The rows are kept, not copied.  No row passed in is ever modified: every
+combination builds a new dict.  A row that is primitive already, all
+nonzero ints with gcd 1, becomes its own pivot as it is, so a pivot may
+be the caller's own dict, and neither the caller nor the echelon may
+modify it.
+
 Ranks and ``rref_rows`` eliminate on the smallest column of each row, and
-a membership question is a comparison of two ranks.  ``kernel_of_rows``
-eliminates on the largest column instead and back-substitutes in
-increasing pivot order; each kernel vector then has its smallest column
-at its own free column, with value 1, and no other kernel vector touches
-that column, so the kernel comes out in reduced echelon form for the
-original column order without a second reduction.  Nothing in the
-package calls ``rref_rows`` any more; it stays as the reference canonical
-form that the tests compare kernels with, and the benchmark's per-layer
-spans (``bench/tracing.py``) still wrap it.
+a membership question is a comparison of two ranks; a rank may take
+another lead rule, since it does not depend on the column order.
+``kernel_of_rows`` eliminates on the largest column instead and
+back-substitutes in increasing pivot order; each kernel vector then has
+its smallest column at its own free column, with value 1, and no other
+kernel vector touches that column, so the kernel comes out in reduced
+echelon form for the original column order without a second reduction.
+Nothing in the package calls ``rref_rows`` any more; it stays as the
+reference canonical form that the tests compare kernels with, and the
+benchmark's per-layer spans (``bench/tracing.py``) still wrap it.
 
 Reduced echelon forms depend only on the column order, never on the order
 the rows arrive in, so every rank and kernel produced here is canonical
@@ -63,9 +70,20 @@ def add_terms(out: dict, items, scale=1) -> None:
 
 
 def _primitive(row) -> dict:
-    """Rescale a {col: rational} row to primitive integer form."""
-    if not row:
-        return {}
+    """Rescale a {col: rational} row to primitive integer form.
+
+    A row that is already primitive, all nonzero ints with gcd 1, is
+    returned as it is, not copied; any other row gives a new dict with its
+    zero entries dropped.
+    """
+    g = 0
+    for v in row.values():
+        if type(v) is not int or not v:
+            break
+        g = gcd(g, v)
+    else:
+        if g == 1:
+            return row
     denom = 1
     for v in row.values():
         if type(v) is not int:
@@ -121,9 +139,15 @@ def echelon_rows(rows, lead=min, pivots=None) -> dict:
     """Forward elimination; returns {pivot column: primitive integer row}.
 
     ``lead`` picks the column a row is eliminated on: ``min`` leaves every
-    pivot row zero left of its pivot, ``max`` zero right of it.  Given a
-    ``pivots`` dict from an earlier call with the same ``lead``, the rows
-    are added to it in place, so a rank can be read after each batch.
+    pivot row zero left of its pivot, ``max`` zero right of it; any rule
+    that picks a row's first column in one fixed total order of the
+    columns will do.  Given a ``pivots`` dict from an earlier call with
+    the same ``lead``, the rows are added to it in place, so a rank can be
+    read after each batch.
+
+    No row passed in is modified.  A primitive row becomes its own pivot
+    uncopied, so a pivot may be the caller's dict: neither the caller nor
+    the echelon may modify it.
     """
     if pivots is None:
         pivots = {}
@@ -139,9 +163,11 @@ def echelon_rows(rows, lead=min, pivots=None) -> dict:
     return pivots
 
 
-def rank_of_rows(rows, pivots=None) -> int:
-    """Rank of rows; given the ``pivots`` of earlier rows, the rank of all."""
-    return len(echelon_rows(rows, pivots=pivots))
+def rank_of_rows(rows, pivots=None, lead=min) -> int:
+    """Rank of rows; given the ``pivots`` of earlier rows, eliminated with
+    the same ``lead``, the rank of all.  The rank does not depend on the
+    lead; the rows are kept as ``echelon_rows`` keeps them."""
+    return len(echelon_rows(rows, lead, pivots))
 
 
 def rref_rows(rows) -> dict:

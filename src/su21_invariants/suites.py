@@ -157,7 +157,7 @@ SUITES = {
     "abelian": Suite(dirac, "verify_abelian_commutators"),
     "casimir": Suite(dirac, "verify_casimir_expressions"),
     # On the same machine `verify uc-basis --max-filtration 14` takes about
-    # 11 s and 265 MB peak RSS, and each step of 2 about five times as long
+    # 8 s and 197 MB peak RSS, and each step of 2 about four times as long
     # as the one before.
     "uc-basis": Suite(invariants, "verify_lifted_basis_slice", "max_filtration", 4, 14),
     # `verify ideal-slice --max-filtration 7` takes about 2.5 s and 53 MB

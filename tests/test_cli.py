@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,18 @@ def test_power_size_is_capped(capsys):
     assert capsys.readouterr().out.count(" + ") == 19448 - 1
     assert cli.main(["eval", "--context", "symmetric", "(E+F)^32"]) == 0
     assert capsys.readouterr().out.strip().startswith("E^32 + 32*E^31*F")
+    # PBW straightening adds every lower degree, so the enveloping cap counts
+    # the C(8 + n, n) monomials of degree <= n: 24 310 at 9, 43 758 at 10.
+    for n in (9, 10):
+        assert cli.main(["eval", "--context", "enveloping", letters + "^%d" % n]) == 2
+        err = capsys.readouterr().err
+        assert "may have %d terms, over the cap" % comb(8 + n, n) in err
+    # C(16, 8) = 12 870 for 12 758 terms, and C(34, 32) = 561 for (E+F)^32.
+    assert cli.main(["eval", "--context", "enveloping", letters + "^8"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" + ") + out.count(" - ") == 12758 - 1
+    assert cli.main(["eval", "--context", "enveloping", "(E+F)^32"]) == 0
+    assert capsys.readouterr().out.strip().startswith("E^32 + ")
     for zero_power in ("0^0", "(E-E)^0"):
         assert cli.main(["eval", "--context", "symmetric", zero_power]) == 0
         assert capsys.readouterr().out.strip() == "1"

@@ -400,12 +400,14 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
     # The suite carries one echelon across the filtration steps; each rank it
     # reads must equal a rank computed from scratch on the cumulative set.
     ranks = []
+    echelons = []
     rank_of_rows = linalg.rank_of_rows
 
-    def spy(rows, pivots=None):
-        rank = rank_of_rows(rows, pivots)
+    def spy(rows, pivots=None, lead=min):
+        rank = rank_of_rows(rows, pivots, lead)
         if pivots is not None:
             ranks.append(rank)
+            echelons.append(pivots)
         return rank
 
     monkeypatch.setattr(linalg, "rank_of_rows", spy)
@@ -419,6 +421,12 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
         fresh.append(linalg.rank_of_rows(rows))
     assert ranks == fresh
     assert fresh == [sum(EXPECTED_DIMS[: m + 1]) for m in range(7)]
+    # The echelon keeps the members' own rows: led by their top filtration
+    # degree, 131 of the 144 members become pivots as they are, uncopied.
+    pivots = echelons[-1]
+    assert all(p is pivots for p in echelons)
+    own = {id(x.coeffs) for _, x, _ in members}
+    assert sum(id(row) in own for row in pivots.values()) == 131
 
 
 def test_dependent_lifted_member_fails_every_step_from_its_degree(monkeypatch):

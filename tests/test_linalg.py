@@ -109,18 +109,60 @@ def test_rref_pivots_are_one_and_reduced():
                 assert other not in row
 
 
+def _odd_columns_first(row):
+    """A lead in neither the min nor the max order: the largest odd column,
+    else the largest even one."""
+    return min(row, key=lambda c: (c % 2 == 0, -c))
+
+
 def test_echelon_extended_batch_by_batch_matches_one_pass():
     rng = random.Random(31)
     for _ in range(40):
         ncols = rng.randint(1, 8)
         rows = _random_rows(rng, rng.randint(1, 12), ncols)
         cuts = sorted(rng.randint(0, len(rows)) for _ in range(3))
-        for lead in (min, max):
+        for lead in (min, max, _odd_columns_first):
             pivots = {}
             for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
                 assert linalg.echelon_rows(rows[lo:hi], lead, pivots) is pivots
                 assert len(pivots) == linalg.rank_of_rows(rows[:hi])
+                assert len(pivots) == linalg.rank_of_rows(rows[:hi], lead=lead)
             assert pivots == linalg.echelon_rows(rows, lead)
+
+
+def test_primitive_rows_become_pivots_uncopied():
+    row = {0: 2, 1: -3, 4: 1}
+    assert linalg.echelon_rows([row])[0] is row
+    # Content 2, a Fraction, or an explicit zero (here at the smallest
+    # column, where it must not lead) gives a new, normalized pivot row.
+    for given, lead, primitive in (
+        ({0: 4, 1: -6, 4: 2}, 0, {0: 2, 1: -3, 4: 1}),
+        ({0: Fraction(2, 3), 1: -1, 4: Fraction(1, 3)}, 0, {0: 2, 1: -3, 4: 1}),
+        ({0: Fraction(2), 1: -3, 4: 1}, 0, {0: 2, 1: -3, 4: 1}),
+        ({0: 0, 1: 2, 4: -3}, 1, {1: 2, 4: -3}),
+    ):
+        before = dict(given)
+        pivots = linalg.echelon_rows([given])
+        assert pivots == {lead: primitive}
+        assert pivots[lead] is not given
+        assert given == before
+
+
+def test_echelon_leaves_every_input_row_unchanged():
+    rng = random.Random(53)
+    for _ in range(80):
+        ncols = rng.randint(1, 8)
+        rows = _random_rows(rng, rng.randint(1, 6), ncols) + [
+            _random_int_row(rng, ncols, rng.randrange(ncols))
+            for _ in range(rng.randint(1, 6))
+        ]
+        rows += rng.sample(rows, 2)
+        rng.shuffle(rows)
+        before = [dict(row) for row in rows]
+        for lead in (min, max, _odd_columns_first):
+            pivots = linalg.echelon_rows(rows, lead)
+            assert rows == before
+            assert len(pivots) == linalg.rank_of_rows(before)
 
 
 def _ref_combine(row, piv, lead):
