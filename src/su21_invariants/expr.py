@@ -39,9 +39,12 @@ eight letters has 12 758 terms at n = 8 against a count of 12 870,
 24 073 against 24 310 at 9 and 43 469 against 43 758 at 10, and takes
 0.67, 1.49 and 3.87 seconds (CPU time of the parse, Python 3.11.7, one
 core of a shared 2-vCPU Xeon), so L^8 is accepted and L^9 refused;
-(E+F)^32 counts 561.  A product x * y, whether by
-'*', '^^' or '(x)', walks every pair of terms, so the term counts of its
-factors may multiply to at most MAX_PRODUCT_PAIRS (2 000 000): in the
+(E+F)^32 counts 561.  C(p) has only 16 blades, so a power with no
+letter of g counts at most 16, and in the clifford context only
+MAX_EXPONENT bounds it: (E1+E2+F1+F2)^24 counts 16, not 20 475.  A
+product x * y, whether by '*', '^^' or '(x)', walks every pair of terms,
+so the term counts of its factors may multiply to at most
+MAX_PRODUCT_PAIRS (2 000 000): in the
 symmetric context a product of 1 716 by 1 166 terms (2.0 million pairs)
 takes about 2.2 seconds on the same machine, while the square of the
 power of all eight letters to 10 (378 million pairs) is refused.  In the
@@ -323,8 +326,10 @@ class _Parser:
             t = max(terms, 1)
             if isinstance(value, dirac.UCElement):
                 # Straightening adds every lower degree: all the monomials
-                # of degree at most n.
+                # of degree at most n.  C(p) has only 16 blades.
                 size = comb(t + exponent, exponent)
+                if all(exps == dirac.ZERO_EXPS for exps, _ in value.coeffs):
+                    size = min(size, 16)
             else:
                 size = comb(t + exponent - 1, exponent)
             if size > MAX_POWER_TERMS:

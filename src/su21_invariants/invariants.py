@@ -18,17 +18,21 @@ four generators through ``symext.ad_action``.
 
 ad(E) replaces one letter at a time and preserves the split of a key into
 (k-letters, symmetric E1/E2 letters, symmetric F1/F2 letters, exterior
-E-letters, exterior F-letters), so the kernel decomposes into independent
-blocks over that signature.  Each degree's kernel is built from the one
-below (``_next_kernel``).  In the letters a = H1 + H2 and H = H1 - H2 the
-degree-n slice is a S^(n-1) (+) (its a-free part), and ad(E) keeps both
-summands: a spans the centre of k, so ad(E)(a x) = a ad(E) x, and on the
-a-free part [E, H] = -2E and [E, F] = H never make an a.  So the kernel
-in degree n is a times the kernel of degree n - 1 plus, per block, the
-kernel on the a-free part, whose keys are the block's keys with h1 = 0
-read with slot 1 as the power of H; only that small part is eliminated,
-with ``linalg.kernel_of_rows``.  Two lemmas make one reduction pass turn
-the union into the reduced echelon basis for the slice order:
+E-letters, exterior F-letters), so the row of one target key holds keys
+of one signature only, and rows of two signatures share no column.  The
+sparse echelon combines a row only with pivots on its own columns, so one
+elimination of all rows makes the same combinations, in the same order,
+as one elimination per signature would.  Each degree's kernel is built
+from the one below (``_next_kernel``).  In the letters a = H1 + H2 and
+H = H1 - H2 the degree-n slice is a S^(n-1) (+) (its a-free part), and
+ad(E) keeps both summands: a spans the centre of k, so
+ad(E)(a x) = a ad(E) x, and on the a-free part [E, H] = -2E and
+[E, F] = H never make an a.  So the kernel in degree n is a times the
+kernel of degree n - 1 plus the kernel on the a-free part, whose keys are
+the keys with h1 = 0 read with slot 1 as the power of H; only that part
+is eliminated, with one call of ``linalg.kernel_of_rows``.  Two lemmas
+make one reduction pass turn the union into the reduced echelon basis for
+the slice order:
 
 * lead(a x) = H2 lead(x): every H1 k has a larger h1 than every H2 k',
   and H2 keeps the key order.  By induction every lead has h1 = 0, and
@@ -43,12 +47,13 @@ the union into the reduced echelon basis for the slice order:
   the other a-free kernel vectors do not meet.
 
 Each expanded a-free vector is therefore reduced once against the a k
-whose leads it meets, in integers, and divided by its lead; the result
-is the unique reduced echelon basis that eliminating whole blocks gives,
-which the tests keep as the reference, and the blocked kernel is also
-cross-checked there against an unblocked joint-kernel computation.  The
-kernel of every degree built is kept, so a call for any degree builds
-only the degrees above the highest one built before.
+whose leads it meets, in integers, and divided by its lead; the result is
+the unique reduced echelon basis that eliminating the whole slice gives,
+which the tests keep as the reference, and the kernel is also
+cross-checked there against the joint kernel of all four k-generators on
+every key of the degree.  The kernel of every degree built is kept, so a
+call for any degree builds only the degrees above the highest one built
+before.
 
 The lifted product family of ``uc-basis`` is checked at every filtration
 step with one echelon carried across the steps: the degree-m rows extend
@@ -152,17 +157,6 @@ def expected_dimension(n: int) -> int:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return sum(module_table(k) * polynomial_layer_dim(n - k) for k in range(n + 1))
-
-
-def _signature(key):
-    exps, mask = key
-    return (
-        exps[0] + exps[1] + exps[2] + exps[3],
-        exps[4] + exps[5],
-        exps[6] + exps[7],
-        (mask & 0b0011).bit_count(),
-        (mask & 0b1100).bit_count(),
-    )
 
 
 class _Rows:
@@ -315,45 +309,41 @@ def _next_kernel(n: int, below) -> tuple:
             linalg.add_terms(out, zip(map(up1.__getitem__, coeffs), coeffs.values()))
             old[up2[min(coeffs)]] = SymTensorElement(out)
 
-    # The new part: per signature block, the kernel of ad(E) on its a-free
-    # keys in the sl2 basis, expanded into H1, H2 and reduced against the
-    # old part at the old leads it meets.
-    blocks = {}
-    for key in keys:
-        if not key[0][0]:
-            blocks.setdefault(_signature(key), []).append(key)
+    # The new part: the kernel of ad(E) on the a-free keys in the sl2 basis,
+    # one row per target key in key order, expanded into H1, H2 and reduced
+    # against the old part at the old leads it meets.
+    afree = [key for key in keys if not key[0][0]]
+    target_rows = {}
+    for local, terms in enumerate(_a_free_e_images(afree)):
+        for t, u in terms:
+            target_rows.setdefault(t, {})[local] = u
+    rows = [target_rows[t] for t in sorted(target_rows)]
     new = []
-    for block in blocks.values():
-        target_rows = {}
-        for local, terms in enumerate(_a_free_e_images(block)):
-            for t, u in terms:
-                target_rows.setdefault(t, {})[local] = u
-        rows = [target_rows[t] for t in sorted(target_rows)]
-        for vec in linalg.kernel_of_rows(rows, len(block)):
-            # Scaled to integers, with den at the lead, and divided by den
-            # once reduced.  Two keys of vec differ in h1 + h2 or in a
-            # later slot, so their expansions share no key.
-            den = lcm(*(v.denominator for v in vec.values() if type(v) is not int))
-            out = {}
-            for local, v in vec.items():
-                v = v * den if type(v) is int else v.numerator * (den // v.denominator)
-                key = block[local]
-                exps, mask = key
-                h = exps[1]
-                if not h:
-                    out[key] = v
-                    continue
-                rest = exps[2:]
-                for j, b in _h_power(h):
-                    out[keys[col_of[((j, h - j) + rest, mask)]]] = b * v
-            for lead in [k for k in out if k in old]:
-                linalg.add_terms(out, old[lead].coeffs.items(), -out[lead])
-            if den != 1:
-                out = {
-                    k: v // den if not v % den else Fraction(v, den)
-                    for k, v in out.items()
-                }
-            new.append((block[min(vec)], SymTensorElement(out)))
+    for vec in linalg.kernel_of_rows(rows, len(afree)):
+        # Scaled to integers, with den at the lead, and divided by den once
+        # reduced.  Two keys of vec differ in h1 + h2 or in a later slot, so
+        # their expansions share no key.
+        den = lcm(*(v.denominator for v in vec.values() if type(v) is not int))
+        out = {}
+        for local, v in vec.items():
+            v = v * den if type(v) is int else v.numerator * (den // v.denominator)
+            key = afree[local]
+            exps, mask = key
+            h = exps[1]
+            if not h:
+                out[key] = v
+                continue
+            rest = exps[2:]
+            for j, b in _h_power(h):
+                out[keys[col_of[((j, h - j) + rest, mask)]]] = b * v
+        for lead in [k for k in out if k in old]:
+            linalg.add_terms(out, old[lead].coeffs.items(), -out[lead])
+        if den != 1:
+            out = {
+                k: v // den if not v % den else Fraction(v, den)
+                for k, v in out.items()
+            }
+        new.append((afree[min(vec)], SymTensorElement(out)))
     kernel = new + list(old.items())
     kernel.sort(key=lambda item: item[0])
     return tuple(x for _, x in kernel)

@@ -251,12 +251,11 @@ def _letter_tables(z_items: tuple) -> tuple:
                 if jb == k:
                     diag += u
                 elif not mask >> jb & 1:
-                    # The letter moves from slot k to slot jb, past the
-                    # letters strictly between the two.
-                    lo, hi = (k, jb) if k < jb else (jb, k)
-                    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-                    sign = -1 if (mask & between).bit_count() & 1 else 1
-                    new = mask ^ (1 << k) ^ (1 << jb)
+                    # The word is x_k ^ rest up to the sign of merging the
+                    # two; x_jb ^ rest is the new word up to its own sign.
+                    rest = mask ^ (1 << k)
+                    sign = _MERGE_SIGNS[1 << k][rest] * _MERGE_SIGNS[1 << jb][rest]
+                    new = rest | (1 << jb)
                     moves[new] = moves.get(new, 0) + sign * u
         mask_diag.append(diag)
         mask_moves.append(tuple((m, u) for m, u in moves.items() if u))

@@ -182,6 +182,14 @@ def test_power_size_is_capped(capsys):
     assert out.count(" + ") + out.count(" - ") == 12758 - 1
     assert cli.main(["eval", "--context", "enveloping", "(E+F)^32"]) == 0
     assert capsys.readouterr().out.strip().startswith("E^32 + ")
+    # C(p) has only 16 blades, so a clifford power counts at most 16 terms.
+    assert cli.main(["eval", "--context", "clifford", "(E1+E2+F1+F2)^24"]) == 0
+    assert capsys.readouterr().out.strip() == "16777216"
+    base = "(E1+2*E2+F1+F2+E1*F2)"
+    assert cli.main(["eval", "--context", "clifford", base + "^32"]) == 0
+    power = capsys.readouterr().out
+    assert cli.main(["mul", "--context", "clifford", base + "^16", base + "^16"]) == 0
+    assert capsys.readouterr().out == power
     for zero_power in ("0^0", "(E-E)^0"):
         assert cli.main(["eval", "--context", "symmetric", zero_power]) == 0
         assert capsys.readouterr().out.strip() == "1"

@@ -2,8 +2,8 @@
 
 Two independent oracles guard the main computation: the expected
 dimensions are recomputed here by a direct convolution, and the
-weight-zero kernel reduction is cross-checked against the unblocked
-joint kernel of all four k-generators acting on the full degree slice.
+weight-zero kernel reduction is cross-checked against the joint kernel of
+all four k-generators acting on every key of the degree.
 """
 
 import hashlib
@@ -79,8 +79,8 @@ def _coordinate_rows(elements):
 
 
 def _unblocked_joint_kernel_dim(n):
-    """Kernel of all four k-generators on the full degree-n slice, with no
-    weight restriction and no signature blocking."""
+    """Kernel of all four k-generators on every degree-n key, with no
+    weight restriction and no split off of the a-multiples."""
     keys = _all_keys(n)
     rows_by_target = {}
     for col, key in enumerate(keys):
@@ -125,31 +125,23 @@ def test_invariant_subspace_bases_are_pinned(n):
 
 
 def _reference_kernel(n):
-    """ker ad(E) on the degree-n slice by eliminating each signature block
-    whole, with the rows read from the E table of the slice: the kernel of
-    each block in reduced echelon form, put in lead order."""
+    """ker ad(E) on the degree-n slice by eliminating the whole slice at
+    once, with the rows read from the E table of the slice: the kernel in
+    reduced echelon form, in lead order."""
     keys, _, tables = inv._slice_action(n)
     starts, targets, coeffs = tables["E"]
-    blocks = {}
-    for c, key in enumerate(keys):
-        blocks.setdefault(inv._signature(key), []).append(c)
-    kernel_vectors = []
-    for block in blocks.values():
-        target_rows = {}
-        for local, c in enumerate(block):
-            for t in range(starts[c], starts[c + 1]):
-                target_rows.setdefault(targets[t], {})[local] = coeffs[t]
-        rows = [target_rows[t] for t in sorted(target_rows)]
-        for vec in linalg.kernel_of_rows(rows, len(block)):
-            kernel_vectors.append({block[c]: v for c, v in vec.items()})
-    kernel_vectors.sort(key=min)
+    target_rows = {}
+    for c in range(len(keys)):
+        for t in range(starts[c], starts[c + 1]):
+            target_rows.setdefault(targets[t], {})[c] = coeffs[t]
+    rows = [target_rows[t] for t in sorted(target_rows)]
     return tuple(
         symext.SymTensorElement({keys[c]: v for c, v in vec.items()})
-        for vec in kernel_vectors
+        for vec in linalg.kernel_of_rows(rows, len(keys))
     )
 
 
-def test_kernel_from_the_degree_below_matches_whole_blocks():
+def test_kernel_from_the_degree_below_matches_the_whole_slice():
     # Upward, as the table walks, then down again, which reads the degrees
     # kept from the walk up.
     for n in [*range(11), 4, 10, 9]:
@@ -160,6 +152,27 @@ def test_kernel_from_the_degree_below_matches_whole_blocks():
             assert [type(v) for v in x.coeffs.values()] == [
                 type(y.coeffs[k]) for k in x.coeffs
             ]
+
+
+def test_each_degree_is_one_elimination(monkeypatch):
+    # One kernel_of_rows call per degree, and the row combinations of one
+    # elimination per signature: rows of two signatures share no column,
+    # so eliminating them together combines nothing more.
+    inv._ad_e_kernel(10)
+    calls = {"kernel_of_rows": 0, "_combine": 0}
+    for name in calls:
+        wrapped = getattr(linalg, name)
+
+        def counting(*args, _name=name, _wrapped=wrapped):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    for n in range(11):
+        before = calls["kernel_of_rows"]
+        inv._next_kernel(n, inv._ad_e_kernel(n - 1) if n else ())
+        assert calls["kernel_of_rows"] == before + 1
+    assert calls["_combine"] == 9177
 
 
 def test_lower_degrees_are_kept_after_a_higher_one(monkeypatch):
