@@ -91,19 +91,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expr(args) -> int:
+    # Printing raises ValueError too, for an int past the interpreter's
+    # limit on digits (PYTHONINTMAXSTRDIGITS).
     try:
         values = [expr.parse_element(text, args.context) for text in args.expressions]
+        result = values[0]
+        for value in values[1:]:
+            problem = expr.product_problem(result, value)
+            if problem:
+                raise ValueError(problem)
+            result = result * value
+        text = expr.format_element(result, args.context)
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    result = values[0]
-    for value in values[1:]:
-        problem = expr.product_problem(result, value)
-        if problem:
-            print("error: %s" % problem, file=sys.stderr)
-            return 2
-        result = result * value
-    return _write(expr.format_element(result, args.context))
+    return _write(text)
 
 
 def main(argv=None) -> int:

@@ -191,7 +191,6 @@ def casimir_omega() -> UCElement:
     return _dual_sum(range(lie.DIM), u_vec, u_vec)
 
 
-@lru_cache(maxsize=None)
 def cubic_element() -> UCElement:
     """The degree-three central element of U(g),
 

@@ -66,9 +66,23 @@ of a shared 2-vCPU Xeon):
     (E+F)^8 squared          10 000      640 000   0.41 s
     L^3 * L^3                24 336      219 024   0.34 s
 
-Deeper nesting, a larger exponent, a larger power or a larger product is
-an ExprError, like any other malformed expression, and the ``mul``
-command refuses the product of its two arguments past the same cap.
+A coefficient may have at most MAX_COEFFICIENT_DIGITS (4 300) digits in
+its numerator and in its denominator, CPython's default limit on printing
+an int.  The bound is decided before multiplying, from the bit lengths of
+the largest numerator or denominator of the two factors: their sum bounds
+the bit length of a product of two coefficients, and a number of at most
+14 284 bits has at most 4 300 digits.  A power x^n counts as n - 1 such
+products, n times the bit length of x.  So ((10^32)^32)^4, 10^4096 with
+4 097 digits, prints, while ((10^32)^32)^32 and the product of
+((10^32)^32)^3 with itself are refused at once; refused too is any
+deeper nesting of scalar powers, which would otherwise multiply its
+exponent by up to 32 a level and run for seconds or hours before it
+failed to print.
+
+Deeper nesting, a larger exponent, a larger power, a larger product or
+a larger coefficient is an ExprError, like any other malformed
+expression, and the ``mul`` command refuses the product of its two
+arguments past the same caps.
 
 Printing emits one term per canonical key, so parse(print(x)) recovers x
 exactly, and print(parse(s)) canonicalizes s.
@@ -87,6 +101,10 @@ MAX_NESTING = 100
 MAX_EXPONENT = 32
 MAX_POWER_TERMS = 20000
 MAX_PRODUCT_PAIRS = 2000000
+MAX_COEFFICIENT_DIGITS = 4300
+# Every int below 2 ** _COEFFICIENT_BITS has at most MAX_COEFFICIENT_DIGITS
+# digits.
+_COEFFICIENT_BITS = (10 ** MAX_COEFFICIENT_DIGITS).bit_length() - 1
 
 
 class ExprError(ValueError):
@@ -95,11 +113,34 @@ class ExprError(ValueError):
         self.position = position
 
 
+def _coefficient_bits(x) -> int:
+    """Bit length of the largest numerator or denominator of x."""
+    return max(
+        (
+            max(v.numerator.bit_length(), v.denominator.bit_length())
+            for v in x.coeffs.values()
+        ),
+        default=0,
+    )
+
+
+def _coefficient_problem(what: str, bits: int) -> str | None:
+    """Why a result whose coefficients may have ``bits`` bits is refused,
+    or None."""
+    if bits <= _COEFFICIENT_BITS:
+        return None
+    return "%s may have a coefficient of %d bits, over the cap of %d digits" % (
+        what, bits, MAX_COEFFICIENT_DIGITS
+    )
+
+
 def product_problem(x, y) -> str | None:
     """Why x * y is refused, or None: the term counts of the two factors
-    may multiply to at most MAX_PRODUCT_PAIRS.  In U(g) (x) C(p), with
-    factors of degrees p and q, each pair counts q (p + q) / 2 times, so a
-    pair of letters counts once."""
+    may multiply to at most MAX_PRODUCT_PAIRS, and the bit lengths of
+    their largest coefficients may add up to at most the bits of
+    MAX_COEFFICIENT_DIGITS digits.  In U(g) (x) C(p), with factors of
+    degrees p and q, each pair counts q (p + q) / 2 times, so a pair of
+    letters counts once."""
     pairs = len(x.coeffs) * len(y.coeffs)
     size = "%d by %d terms" % (len(x.coeffs), len(y.coeffs))
     verb = "has"
@@ -108,10 +149,13 @@ def product_problem(x, y) -> str | None:
         pairs = pairs * q * (p + q) // 2
         size += " of degrees %d and %d" % (p, q)
         verb = "counts as"
-    if pairs <= MAX_PRODUCT_PAIRS:
-        return None
-    return "a product of %s %s %d term pairs, over the cap of %d" % (
-        size, verb, pairs, MAX_PRODUCT_PAIRS
+    if pairs > MAX_PRODUCT_PAIRS:
+        return "a product of %s %s %d term pairs, over the cap of %d" % (
+            size, verb, pairs, MAX_PRODUCT_PAIRS
+        )
+    bx, by = _coefficient_bits(x), _coefficient_bits(y)
+    return _coefficient_problem(
+        "a product of coefficients of up to %d and %d bits" % (bx, by), bx + by
     )
 
 
@@ -313,7 +357,7 @@ class _Parser:
     def power(self, ext_mode):
         value = self.atom(ext_mode)
         if self.peek()[0] == "power":
-            self.advance()
+            position = self.advance()[2]
             kind, val, _ = self.peek()
             if kind != "number" or val.denominator != 1:
                 self.fail("expected an integer exponent")
@@ -337,6 +381,13 @@ class _Parser:
                     "a power of %d terms to the %d may have %d terms, over the cap of %d"
                     % (terms, exponent, size, MAX_POWER_TERMS)
                 )
+            bits = _coefficient_bits(value)
+            problem = _coefficient_problem(
+                "a power to the %d of coefficients of up to %d bits" % (exponent, bits),
+                bits * exponent,
+            )
+            if problem:
+                raise ExprError(problem, position)
             self.advance()
             value = value ** exponent
         return value

@@ -89,7 +89,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def graded_keys(n: int, weight) -> tuple:
     """The degree-n keys of weight (w1, w2), enumerated directly, in the
     fixed deterministic order (lexicographic exponents, then mask).
@@ -357,9 +356,17 @@ def _ad_e_kernel(n: int) -> tuple:
     return _next_kernel(n, _ad_e_kernel(n - 1) if n else ())
 
 
-@lru_cache(maxsize=None)
-def _invariant_subspace_cached(n: int) -> tuple:
-    """(ker ad(E) basis, one line per element some k-generator does not kill)."""
+def invariant_subspace(n: int) -> list:
+    """Echelon-normalized basis of the degree-n K-invariants.
+
+    Every element is re-checked on every call against all four
+    k-generators by ``_not_annihilating``: on the weight-(0,0) slice H1
+    and H2 by the weight of its keys and E and F through the slice tables,
+    off the slice through ``symext.ad_action``.  A failure raises
+    InvarianceError.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     basis = _ad_e_kernel(n)
     failures = []
     for idx, x in enumerate(basis):
@@ -369,20 +376,6 @@ def _invariant_subspace_cached(n: int) -> tuple:
                 "degree-%d kernel element %d is not annihilated by %s"
                 % (n, idx, ", ".join(names))
             )
-    return basis, tuple(failures)
-
-
-def invariant_subspace(n: int) -> list:
-    """Echelon-normalized basis of the degree-n K-invariants.
-
-    Every element is re-checked against all four k-generators by
-    ``_not_annihilating``: on the weight-(0,0) slice H1 and H2 by the
-    weight of its keys and E and F through the slice tables, off the slice
-    through ``symext.ad_action``.  A failure raises InvarianceError.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    basis, failures = _invariant_subspace_cached(n)
     if failures:
         raise InvarianceError("; ".join(failures))
     return list(basis)
@@ -565,10 +558,10 @@ def verify_ext_decomposition() -> VerificationReport:
     return VerificationReport("ext-decomposition", {}, checks)
 
 
-@lru_cache(maxsize=None)
 def product_basis_members(n: int) -> tuple:
     """Degree-n members of the product family: monomials in a, b, c, d
-    times one of the sixteen module generators, as (label, element)."""
+    times one of the sixteen module generators, as (label, element),
+    built afresh on every call."""
     family = symext.named_invariants().product_family(n, n)
     return tuple((label, x) for label, x, _ in family)
 
@@ -602,10 +595,9 @@ def verify_product_basis(max_degree: int) -> VerificationReport:
     return VerificationReport("st-basis", {"max_degree": max_degree}, checks)
 
 
-@lru_cache(maxsize=None)
 def lifted_product_members(max_degree: int) -> tuple:
     """Lifted products of total degree up to the bound, as (label, element,
-    degree), by degree and then label."""
+    degree), by degree and then label, built afresh on every call."""
     family = dirac.lifted_generators().product_family(0, max_degree, "~")
     return tuple(sorted(family, key=lambda item: (item[2], item[0])))
 

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -224,6 +225,60 @@ def test_product_size_is_capped(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["mul", "--context", "enveloping", "E+F", "E+F+H1+H2"]) == 2
     assert capsys.readouterr().err.startswith("error: a product of 2 by 4 terms")
+
+
+# Each printed a traceback past the 4 300-digit print limit, the last after
+# 17 s of CPU time in the parse.
+_HUGE_COEFFICIENTS = (
+    ("eval", "symmetric", "((10^32)^32)^32"),
+    ("eval", "enveloping", "(((1/3)^32)^32)^32*E"),
+    ("mul", "symmetric", "((10^32)^32)^3", "((10^32)^32)^3"),
+    ("eval", "symmetric", "((((9^32)^32)^32)^32)^8"),
+)
+
+
+@pytest.mark.parametrize("argv", _HUGE_COEFFICIENTS, ids=lambda argv: argv[2])
+def test_coefficient_size_is_capped(argv, capsys):
+    command, context, *texts = argv
+    start = time.process_time()
+    assert cli.main([command, "--context", context, *texts]) == 2
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: a ")
+    assert "over the cap of %d digits" % expr.MAX_COEFFICIENT_DIGITS in captured.err
+
+
+def test_coefficient_cap_is_decided_at_the_operator(capsys):
+    # 10^1024 has 3 402 bits: to the 4th it stays under the 14 284 bits of
+    # 4 300 digits and prints all 4 097 digits of 10^4096.
+    assert cli.main(["eval", "--context", "symmetric", "((10^32)^32)^4"]) == 0
+    assert capsys.readouterr().out == "1" + "0" * 4096 + "\n"
+    assert cli.main(["eval", "--context", "symmetric", "((10^32)^32)^5"]) == 2
+    err = capsys.readouterr().err
+    assert "of coefficients of up to 3402 bits may have a coefficient of 17010 bits" in err
+    assert err.rstrip().endswith("(at position 12)")
+    text = "((10^32)^32)^4*(10^32)^7"
+    assert cli.main(["eval", "--context", "symmetric", text]) == 2
+    err = capsys.readouterr().err
+    assert "coefficients of up to 13607 and 745 bits" in err
+    assert err.rstrip().endswith("(at position %d)" % text.index("*"))
+
+
+def test_unprintable_coefficient_is_a_clean_error():
+    # Under a stricter print limit a coefficient inside the cap still cannot
+    # be printed: one error line, no traceback.
+    done = _run_cli(
+        ["eval", "--context", "symmetric", "(10^32)^22"],
+        subprocess.PIPE,
+        prefix=("env", "PYTHONINTMAXSTRDIGITS=640"),
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    err = done.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_enveloping_products_are_weighed_by_degree(capsys):

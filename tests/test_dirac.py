@@ -204,14 +204,12 @@ def test_cub_expression_fails_when_the_polynomials_are_wrong(monkeypatch):
         return a, b, c, d + a
 
     dirac.lifted_generators.cache_clear()
-    dirac.cubic_element.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(symext, "polynomial_invariants", perturbed)
             rep = dirac.verify_casimir_expressions()
     finally:
         dirac.lifted_generators.cache_clear()
-        dirac.cubic_element.cache_clear()
     passed = {c.check_id: c.passed for c in rep.checks}
     assert passed == {
         "omega-expression": True,

@@ -1,7 +1,11 @@
 """The import structure of the package: every import of a package module
-sits at module level, and those imports form no cycle."""
+sits at module level, and those imports form no cycle; and every memo of
+the package is read again by the default run."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "su21_invariants"
@@ -53,3 +57,36 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+# Runs the default suite in a fresh interpreter, then prints one line per
+# memo of a package module that it never read again.
+_UNREAD_MEMOS = """
+import importlib, sys
+from su21_invariants import suites
+suites.run_suite("all")
+for stem in sys.argv[1:]:
+    module = importlib.import_module("su21_invariants." + stem)
+    for name, func in vars(module).items():
+        info = getattr(func, "cache_info", None)
+        if info and func.__module__ == module.__name__ and info().hits < 1:
+            print("%s.%s %d hits / %d misses" % (stem, name, info().hits, info().misses))
+"""
+
+
+def test_every_memo_is_read_again_by_verify_all():
+    """A memo lives as long as the process, so the default run, ``verify
+    all``, must read every one of them again (``cache_info().hits >= 1``):
+    a memo it never reads again only holds memory."""
+    src = str(PACKAGE.parent)
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run(
+        [sys.executable, "-c", _UNREAD_MEMOS, *sorted(_trees())],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    offenders = done.stdout.splitlines()
+    assert not offenders, "memos never read again:\n" + "\n".join(offenders)

@@ -414,7 +414,9 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
     # reads must equal a rank computed from scratch on the cumulative set.
     ranks = []
     echelons = []
+    used = []
     rank_of_rows = linalg.rank_of_rows
+    lifted_product_members = inv.lifted_product_members
 
     def spy(rows, pivots=None, lead=min):
         rank = rank_of_rows(rows, pivots, lead)
@@ -423,11 +425,17 @@ def test_lifted_basis_ranks_match_fresh_ranks(monkeypatch):
             echelons.append(pivots)
         return rank
 
+    def members_spy(bound):
+        used.append(lifted_product_members(bound))
+        return used[-1]
+
     monkeypatch.setattr(linalg, "rank_of_rows", spy)
+    monkeypatch.setattr(inv, "lifted_product_members", members_spy)
     rep = inv.verify_lifted_basis_slice(6)
     monkeypatch.undo()
     assert rep.passed, rep.to_text()
-    members = inv.lifted_product_members(6)
+    # The members the suite eliminated: a second call builds new objects.
+    [members] = used
     fresh = []
     for m in range(7):
         rows, _ = _coordinate_rows([x for _, x, deg in members if deg <= m])
@@ -671,13 +679,6 @@ def test_slice_tables_match_ad_action(n):
     assert cancelled > 0 or n < 2
 
 
-@pytest.fixture
-def fresh_subspace_cache():
-    inv._invariant_subspace_cached.cache_clear()
-    yield
-    inv._invariant_subspace_cached.cache_clear()
-
-
 def _plant_in_degree_two(monkeypatch, bad):
     """Make the last element of the degree-2 kernel ``bad``.  The kernels
     of degrees 0..3 are built first: each degree is built from
@@ -693,7 +694,7 @@ def _plant_in_degree_two(monkeypatch, bad):
     monkeypatch.setattr(inv, "_ad_e_kernel", poisoned)
 
 
-def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch, fresh_subspace_cache):
+def test_failed_annihilation_recheck_is_a_fail_check(monkeypatch):
     # E*F has weight (0, 0) but neither E nor F kills it.
     bad = symext.sym_gen(lie.E) * symext.sym_gen(lie.F)
     _plant_in_degree_two(monkeypatch, bad)
@@ -717,9 +718,7 @@ def _weight_one_one(name):
 
 
 @pytest.mark.parametrize("name", ["wedge", "mixed"])
-def test_nonzero_weight_in_the_kernel_is_a_fail_check(
-    monkeypatch, fresh_subspace_cache, name
-):
+def test_nonzero_weight_in_the_kernel_is_a_fail_check(monkeypatch, name):
     bad = _weight_one_one(name)
     assert symext.ad_action(gvec(lie.E), bad).is_zero()
     assert symext.ad_action(gvec(lie.F), bad).is_zero()
