@@ -68,8 +68,10 @@ of a shared 2-vCPU Xeon):
 
 A coefficient may have at most MAX_COEFFICIENT_DIGITS (4 300) digits in
 its numerator and in its denominator, CPython's default limit on printing
-an int.  The bound is decided before multiplying, from the bit lengths of
-the largest numerator or denominator of the two factors: their sum bounds
+an int.  A number literal past it, or past a stricter
+PYTHONINTMAXSTRDIGITS, is refused where it starts.  For a product the
+bound is decided before multiplying, from the bit lengths of the
+largest numerator or denominator of the two factors: their sum bounds
 the bit length of a product of two coefficients, and a number of at most
 14 284 bits has at most 4 300 digits.  A power x^n counts as n - 1 such
 products, n times the bit length of x.  So ((10^32)^32)^4, 10^4096 with
@@ -164,6 +166,26 @@ def product_problem(x, y) -> str | None:
 _DIGITS = "0123456789"
 
 
+def _literal(text: str, start: int, end: int) -> int:
+    """The int of the digits text[start:end], refused past
+    MAX_COEFFICIENT_DIGITS or the interpreter's own limit."""
+    digits = end - start
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ExprError(
+            "a number of %d digits is over the cap of %d digits"
+            % (digits, MAX_COEFFICIENT_DIGITS),
+            start,
+        )
+    try:
+        return int(text[start:end])
+    except ValueError:  # a stricter PYTHONINTMAXSTRDIGITS
+        raise ExprError(
+            "a number of %d digits is over the interpreter's limit"
+            " (PYTHONINTMAXSTRDIGITS)" % digits,
+            start,
+        ) from None
+
+
 def tokenize(text: str) -> list:
     """Token stream of (kind, value, position) triples."""
     out = []
@@ -209,7 +231,7 @@ def tokenize(text: str) -> list:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            num = int(text[i:j])
+            num = _literal(text, i, j)
             den = 1
             if j < n and text[j] == "/":
                 k = j + 1
@@ -218,7 +240,7 @@ def tokenize(text: str) -> list:
                 j = k
                 while j < n and text[j] in _DIGITS:
                     j += 1
-                den = int(text[k:j])
+                den = _literal(text, k, j)
                 if not den:
                     raise ExprError("zero denominator", k)
             out.append(("number", Fraction(num, den), i))

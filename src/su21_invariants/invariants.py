@@ -158,33 +158,6 @@ def expected_dimension(n: int) -> int:
     return sum(module_table(k) * polynomial_layer_dim(n - k) for k in range(n + 1))
 
 
-class _Rows:
-    """Coordinate rows of elements over a key index, built one at a time
-    as the elimination reads them, so only the current row is held.  It
-    has a length and can be read again, so a wrapper of ``rank_of_rows``
-    that counts rows and nonzeros (the benchmark's per-layer spans) works
-    on it as on a list.
-
-    Only ``ideal-slice`` uses it.  Its products are mostly redundant, so
-    nearly every row is combined and few pivots could be kept uncopied,
-    and eliminating on int columns, pure-k last, is much faster than a
-    lead rule on the products' own keys."""
-
-    __slots__ = ("elements", "index")
-
-    def __init__(self, elements, index):
-        self.elements = elements
-        self.index = index
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        index = self.index
-        for x in self.elements:
-            yield {index[k]: v for k, v in x.coeffs.items()}
-
-
 def rank_of_elements(elements) -> int:
     """Rank of elements, eliminated on their own coefficient dicts, which
     the elimination reads and never modifies."""
@@ -677,9 +650,15 @@ def verify_ideal_slice(bound: int) -> VerificationReport:
     # long rows then reduce against.  The sort is stable, so rows of equal
     # length keep the product order.
     products.sort(key=lambda x: len(x.coeffs))
+    # The products are mostly redundant, so nearly every row is combined,
+    # and eliminating on int columns, pure-k last, takes a third of the time
+    # of a lead rule on the products' own keys.  Each product gives way to
+    # its row in place, so no second list of the slice is held.
     index = {k: i for i, k in enumerate(keys)}
+    for i, x in enumerate(products):
+        products[i] = {index[k]: v for k, v in x.coeffs.items()}
     pivots = {}
-    full_rank = linalg.rank_of_rows(_Rows(products, index), pivots)
+    full_rank = linalg.rank_of_rows(products, pivots)
     pure_k = sorted(col for col in pivots if not any(keys[col][0][4:]))
     residual = None
     if pure_k:

@@ -1,17 +1,17 @@
 """Named verification suites driven by the command line interface.
 
-One table, ``SUITES``, holds a row per suite: its runner, the bound it
-reads (``max_degree``, ``max_filtration`` or none), that bound's default
-and its cap.  ``run_suite`` checks and fills every bound from the table
-alone, and before any suite runs: a negative bound, a bound that no
-chosen suite reads, or one above the smallest cap among the chosen
-suites that read it is a ValueError.  Raising a cap is a one-row edit.
+One table, ``SUITES``, holds a row per suite: its runner function, the
+bound it reads (``max_degree``, ``max_filtration`` or none), that
+bound's default and its cap.  ``run_suite`` checks and fills every bound
+from the table alone, and before any suite runs: a negative bound, a
+bound that no chosen suite reads, or one above the smallest cap among
+the chosen suites that read it is a ValueError.  Raising a cap is a
+one-row edit.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import dirac, invariants, lie
 from .report import CheckResult, VerificationReport, merge_reports
@@ -129,40 +129,36 @@ def _suite_lemmas() -> VerificationReport:
 
 
 class Suite(NamedTuple):
-    """A suite's runner, ``getattr(owner, runner)`` looked up at each call
-    (so a patched ``verify_*`` is the one run), and the bound it reads
-    with that bound's default and cap, or None for all three."""
+    """A suite's runner, and the bound it reads with that bound's default
+    and cap, or None for all three."""
 
-    owner: object
-    runner: str
+    run: Callable[..., VerificationReport]
     bound: str | None = None
     default: int | None = None
     cap: int | None = None
 
 
-_SELF = sys.modules[__name__]
-
 SUITES = {
-    "lie": Suite(_SELF, "_suite_lie"),
-    "lemmas": Suite(_SELF, "_suite_lemmas"),
+    "lie": Suite(_suite_lie),
+    "lemmas": Suite(_suite_lemmas),
     # `verify table --max-degree 16` takes about 3.6 s and 63 MB peak RSS
     # (single core of a 2-vCPU Xeon, Python 3.11), and each further degree
     # about 1.3 times as long as the one before.
-    "table": Suite(invariants, "verify_table", "max_degree", 8, 16),
-    "st-basis": Suite(invariants, "verify_product_basis", "max_degree", 8, 16),
-    "sigma-tau": Suite(dirac, "verify_sigma_tau_table"),
-    "reduction": Suite(dirac, "verify_reduction_identities"),
-    "dirac-square": Suite(dirac, "verify_dirac_square"),
-    "dk": Suite(dirac, "verify_dk_identity"),
-    "abelian": Suite(dirac, "verify_abelian_commutators"),
-    "casimir": Suite(dirac, "verify_casimir_expressions"),
+    "table": Suite(invariants.verify_table, "max_degree", 8, 16),
+    "st-basis": Suite(invariants.verify_product_basis, "max_degree", 8, 16),
+    "sigma-tau": Suite(dirac.verify_sigma_tau_table),
+    "reduction": Suite(dirac.verify_reduction_identities),
+    "dirac-square": Suite(dirac.verify_dirac_square),
+    "dk": Suite(dirac.verify_dk_identity),
+    "abelian": Suite(dirac.verify_abelian_commutators),
+    "casimir": Suite(dirac.verify_casimir_expressions),
     # On the same machine `verify uc-basis --max-filtration 14` takes about
     # 8 s and 197 MB peak RSS, and each step of 2 about four times as long
     # as the one before.
-    "uc-basis": Suite(invariants, "verify_lifted_basis_slice", "max_filtration", 4, 14),
+    "uc-basis": Suite(invariants.verify_lifted_basis_slice, "max_filtration", 4, 14),
     # `verify ideal-slice --max-filtration 7` takes about 2.5 s and 53 MB
     # peak RSS on the same machine, and 8 about 15 s and 127 MB.
-    "ideal-slice": Suite(invariants, "verify_ideal_slice", "max_filtration", 3, 7),
+    "ideal-slice": Suite(invariants.verify_ideal_slice, "max_filtration", 3, 7),
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
@@ -192,11 +188,10 @@ def run_suite(name: str, max_degree=None, max_filtration=None) -> VerificationRe
             raise ValueError("%s is capped at %d" % (bound, min(caps)))
     if name != "all":
         row = SUITES[name]
-        run = getattr(row.owner, row.runner)
         if row.bound is None:
-            return run()
+            return row.run()
         value = given[row.bound]
-        return run(row.default if value is None else value)
+        return row.run(row.default if value is None else value)
     reports = [
         run_suite(key, **({row.bound: given[row.bound]} if row.bound else {}))
         for key, row in SUITES.items()

@@ -268,17 +268,36 @@ def test_coefficient_cap_is_decided_at_the_operator(capsys):
 
 def test_unprintable_coefficient_is_a_clean_error():
     # Under a stricter print limit a coefficient inside the cap still cannot
-    # be printed: one error line, no traceback.
-    done = _run_cli(
-        ["eval", "--context", "symmetric", "(10^32)^22"],
-        subprocess.PIPE,
-        prefix=("env", "PYTHONINTMAXSTRDIGITS=640"),
-    )
-    assert done.returncode == 2
-    assert done.stdout == b""
-    err = done.stderr.decode()
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
+    # be printed, nor a literal inside the cap be read: one error line, no
+    # traceback.
+    for text in ("(10^32)^22", "1/" + "9" * 700):
+        done = _run_cli(
+            ["eval", "--context", "symmetric", text],
+            subprocess.PIPE,
+            prefix=("env", "PYTHONINTMAXSTRDIGITS=640"),
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    assert err.rstrip().endswith("(at position 2)")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_long_number_literal_is_a_clean_error(capsys):
+    # int() refused these with CPython's own message and no position.
+    for text, position in (("9" * 4301, 0), ("1/" + "9" * 4301, 2)):
+        assert cli.main(["eval", "--context", "symmetric", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith("(at position %d)" % position)
+        assert "over the cap of %d digits" % expr.MAX_COEFFICIENT_DIGITS in err
+        assert "set_int_max_str_digits" not in err
+    assert cli.main(["eval", "--context", "symmetric", "9" * 4300]) == 0
+    assert capsys.readouterr().out == "9" * 4300 + "\n"
 
 
 def test_enveloping_products_are_weighed_by_degree(capsys):
@@ -408,8 +427,8 @@ def _refuse_every_suite(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a suite ran before its bound was checked")
 
-    for row in suites.SUITES.values():
-        monkeypatch.setattr(row.owner, row.runner, must_not_run)
+    for name, row in suites.SUITES.items():
+        monkeypatch.setitem(suites.SUITES, name, row._replace(run=must_not_run))
 
 
 def _capped(bound):

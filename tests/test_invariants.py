@@ -510,10 +510,26 @@ def test_lifted_family_builds_each_monomial_once(monkeypatch):
     assert products <= 850
 
 
-def test_ideal_slice():
-    for bound in (2, 3):
+def test_ideal_slice(monkeypatch):
+    # The elimination gets a sized list with one int-keyed row per product,
+    # as a wrapper of rank_of_rows that counts rows and nonzeros expects.
+    calls = []
+    rank_of_rows = linalg.rank_of_rows
+
+    def spy(rows, pivots=None, lead=min):
+        calls.append(rows)
+        return rank_of_rows(rows, pivots, lead)
+
+    monkeypatch.setattr(linalg, "rank_of_rows", spy)
+    for bound in (2, 3, 4):
+        calls.clear()
         rep = inv.verify_ideal_slice(bound)
         assert rep.passed, rep.to_text()
+        [rows] = calls
+        assert type(rows) is list
+        assert "the %d products u D v" % len(rows) in rep.checks[-1].anchor
+        assert all(type(row) is dict for row in rows)
+        assert all(type(c) is int for row in rows for c in row)
     cap = suites.SUITES["ideal-slice"].cap
     with pytest.raises(ValueError, match="max_filtration is capped at %d" % cap):
         suites.run_suite("ideal-slice", max_filtration=cap + 1)
