@@ -91,8 +91,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expr(args) -> int:
-    # Printing raises ValueError too, for an int past the interpreter's
-    # limit on digits (PYTHONINTMAXSTRDIGITS).
     try:
         values = [expr.parse_element(text, args.context) for text in args.expressions]
         result = values[0]
@@ -101,9 +99,18 @@ def _cmd_expr(args) -> int:
             if problem:
                 raise ValueError(problem)
             result = result * value
-        text = expr.format_element(result, args.context)
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
+        return 2
+    try:
+        text = expr.format_element(result, args.context)
+    except ValueError:  # an int past a stricter PYTHONINTMAXSTRDIGITS
+        limit = sys.get_int_max_str_digits()
+        print(
+            "error: a coefficient of the result is over the interpreter's"
+            " limit of %d digits (PYTHONINTMAXSTRDIGITS)" % limit,
+            file=sys.stderr,
+        )
         return 2
     return _write(text)
 

@@ -199,8 +199,8 @@ def cubic_element() -> UCElement:
     with X_a the defining matrices and X^a = ``lie.DUAL[a]`` (Kostant,
     Duke Math. J. 100, 1999).  It reads none of the polynomials a..d, so
     the check ``cub-expression`` compares two separate constructions.  The
-    traces are taken of the integer matrices 3 X_a, hence the 1/27."""
-    mats = [[[int(3 * v) for v in row] for row in x] for x in lie.BASIS_MATRICES]
+    traces are taken of the integral matrices 3 X_a, hence the 1/27."""
+    mats = lie.INTEGRAL_MATRICES
     # tr(A M) is the dot product of A transposed and M, both read by rows.
     flat_t = [sum(zip(*x), ()) for x in mats]
     prods = [[sum(lie.mat_mul(x, y), ()) for y in mats] for x in mats]

@@ -9,16 +9,20 @@ with H1, H2 spanning the diagonal Cartan subalgebra, E, F completing
 k = span{H1, H2, E, F} (the complexified maximal compact subalgebra), and
 E1, E2, F1, F2 spanning p, the -1 eigenspace of the Cartan involution.
 
-Structure constants and the trace form B(x, y) = tr(xy) are generated at
-import time from the defining 3x3 matrices and then frozen; downstream
-modules consume only the tables.  Matrix and table entries follow the
-coefficient policy of ``linalg.exact``: an ``int`` when integral, else a
-``Fraction``, which only the diagonal entries of H1 and H2 need.
+Structure constants and the trace form B(x, y) = tr(xy) are built at
+import time, in int arithmetic, from the integral matrices 3 X_i, where
+X_i are the defining 3x3 matrices: a product of two of them is nine times
+that of the X_i.  The tables are then frozen; downstream modules consume
+only the tables.  Matrix and table entries follow the coefficient policy
+of ``linalg.exact``: an ``int`` when integral, else a ``Fraction``, which
+only the diagonal entries of H1 and H2 and their traces, such as
+B(H1, H1) = 2/3, need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul, sub
 from typing import NamedTuple
 
 from .linalg import SparseElement, add_terms, exact
@@ -54,17 +58,20 @@ BASIS_MATRICES = (
     _unit(2, 0),  # F1
     _unit(2, 1),  # F2
 )
+# The integral matrices 3 X_i, whose products are nine times those of the
+# X_i: the tables below and ``dirac.cubic_element`` are built from them.
+INTEGRAL_MATRICES = tuple(
+    tuple(tuple(int(3 * v) for v in row) for row in x) for x in BASIS_MATRICES
+)
 
 
 def mat_mul(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
 def mat_sub(x, y):
-    return tuple(tuple(x[i][j] - y[i][j] for j in range(3)) for i in range(3))
+    return tuple(tuple(map(sub, a, b)) for a, b in zip(x, y))
 
 
 def mat_trace(x):
@@ -102,45 +109,66 @@ DUAL = (GVector({H1: 2, H2: 1}), GVector({H1: 1, H2: 2})) + tuple(
 )
 
 
-def matrix_of(v: GVector):
+def _combination(coeffs: dict, mats):
+    """The matrix sum of c * mats[i] over the items (i, c) of coeffs."""
     acc = [[0] * 3 for _ in range(3)]
-    for i, c in v.coeffs.items():
-        m = BASIS_MATRICES[i]
+    for i, c in coeffs.items():
+        m = mats[i]
         for r in range(3):
             for s in range(3):
                 acc[r][s] += c * m[r][s]
-    return tuple(tuple(map(exact, row)) for row in acc)
+    return tuple(map(tuple, acc))
+
+
+def matrix_of(v: GVector):
+    return tuple(tuple(map(exact, row)) for row in _combination(v.coeffs, BASIS_MATRICES))
+
+
+def _coordinates(m) -> dict:
+    """The coordinates of a 3x3 matrix in the fixed basis, if it is
+    traceless."""
+    return {
+        H1: 2 * m[0][0] + m[1][1],
+        H2: m[0][0] + 2 * m[1][1],
+        E: m[0][1],
+        F: m[1][0],
+        E1: m[0][2],
+        E2: m[1][2],
+        F1: m[2][0],
+        F2: m[2][1],
+    }
 
 
 def from_matrix(m) -> GVector:
     """Express a traceless 3x3 matrix in the fixed basis, exactly."""
-    v = GVector(
-        {
-            H1: 2 * m[0][0] + m[1][1],
-            H2: m[0][0] + 2 * m[1][1],
-            E: m[0][1],
-            F: m[1][0],
-            E1: m[0][2],
-            E2: m[1][2],
-            F1: m[2][0],
-            F2: m[2][1],
-        }
-    )
+    v = GVector(_coordinates(m))
     if matrix_of(v) != tuple(map(tuple, m)):
         raise ValueError("matrix is not in sl(3)")
     return v
 
 
 def _build_tables():
+    """Brackets and traces of the basis from the integral matrices M_i =
+    3 X_i: [M_i, M_j] = 9 [X_i, X_j] and tr(M_i M_j) = 9 tr(X_i X_j).
+    Each commutator's coordinates are divided by 9 in ints, and the matrix
+    rebuilt from them must give the commutator back, as in ``from_matrix``:
+    a bracket whose coefficients are not all ints raises."""
+    mats = INTEGRAL_MATRICES
+    prods = [[mat_mul(x, y) for y in mats] for x in mats]
     brackets = []
     form = []
     for i in range(DIM):
         brow = []
         frow = []
         for j in range(DIM):
-            mi, mj = BASIS_MATRICES[i], BASIS_MATRICES[j]
-            brow.append(from_matrix(mat_sub(mat_mul(mi, mj), mat_mul(mj, mi))))
-            frow.append(exact(mat_trace(mat_mul(mi, mj))))
+            comm = mat_sub(prods[i][j], prods[j][i])
+            coeffs = {k: c // 9 for k, c in _coordinates(comm).items() if c}
+            if _combination({k: 3 * c for k, c in coeffs.items()}, mats) != comm:
+                pair = (BASIS_NAMES[i], BASIS_NAMES[j])
+                raise ValueError("[%s, %s] is not an int combination of the basis" % pair)
+            brow.append(GVector(coeffs))
+            trace = mat_trace(prods[i][j])
+            frow.append(Fraction(trace, 9) if trace % 9 else trace // 9)
         brackets.append(tuple(brow))
         form.append(tuple(frow))
     return tuple(brackets), tuple(form)
@@ -184,12 +212,8 @@ class Weight(NamedTuple):
     h2: int
 
 
-# Every eigenvalue is an integer for this basis, so int() drops nothing.
 WEIGHTS = tuple(
-    Weight(
-        int(BRACKET_TABLE[H1][i].coeffs.get(i, 0)),
-        int(BRACKET_TABLE[H2][i].coeffs.get(i, 0)),
-    )
+    Weight(BRACKET_TABLE[H1][i].coeffs.get(i, 0), BRACKET_TABLE[H2][i].coeffs.get(i, 0))
     for i in range(DIM)
 )
 

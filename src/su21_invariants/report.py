@@ -6,19 +6,17 @@ A report is reproducible byte for byte under a fixed configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     anchor: str
     passed: bool
     residual: str | None = None
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     config: dict
     checks: list

@@ -33,9 +33,9 @@ family a^n1 b^n2 c^n3 d^n4 * t over the sixteen module generators t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import add, mul
+from typing import NamedTuple
 
 from . import lie
 from .lie import E, E1, E2, F, F1, F2, GVector, Weight
@@ -364,8 +364,7 @@ def polynomial_invariants(sym) -> tuple:
     )
 
 
-@dataclass
-class InvariantGenerators:
+class InvariantGenerators(NamedTuple):
     """The ten invariants generating the K-invariant subalgebra, in
     S(g) (x) Lambda(p) or, lifted, in U(g) (x) C(p)."""
 
@@ -401,7 +400,7 @@ class InvariantGenerators:
         )
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self))
 
     def t_products(self):
         """The sixteen module generators over C[a,b,c,d], in fixed order;

@@ -268,9 +268,12 @@ def test_coefficient_cap_is_decided_at_the_operator(capsys):
 
 def test_unprintable_coefficient_is_a_clean_error():
     # Under a stricter print limit a coefficient inside the cap still cannot
-    # be printed, nor a literal inside the cap be read: one error line, no
-    # traceback.
-    for text in ("(10^32)^22", "1/" + "9" * 700):
+    # be printed, nor a literal inside the cap be read: one error line in the
+    # package's words, no traceback.
+    for text, ending in (
+        ("(10^32)^22", "limit of 640 digits (PYTHONINTMAXSTRDIGITS)"),
+        ("1/" + "9" * 700, "(at position 2)"),
+    ):
         done = _run_cli(
             ["eval", "--context", "symmetric", text],
             subprocess.PIPE,
@@ -281,8 +284,8 @@ def test_unprintable_coefficient_is_a_clean_error():
         err = done.stderr.decode()
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
-    assert err.rstrip().endswith("(at position 2)")
-    assert "set_int_max_str_digits" not in err
+        assert err.rstrip().endswith(ending), err
+        assert "set_int_max_str_digits" not in err
 
 
 def test_long_number_literal_is_a_clean_error(capsys):

@@ -1,6 +1,7 @@
 """The import structure of the package: every import of a package module
-sits at module level, and those imports form no cycle; and every memo of
-the package is read again by the default run."""
+sits at module level, and those imports form no cycle; importing the
+command line loads none of the standard library's heavy introspection
+modules; and every memo of the package is read again by the default run."""
 
 import ast
 import os
@@ -57,6 +58,29 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+# Modules the package does not need, each of which would add to the start-up
+# of every command: ``dataclasses`` loads the other four.
+_HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """Start-up cost guarded by structure, not by a timing: a fresh
+    interpreter without ``site`` (which may load any of them itself)
+    imports the command line and must not have loaded any of these."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import su21_invariants.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(PACKAGE.parent), *_HEAVY_MODULES],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # Runs the default suite in a fresh interpreter, then prints one line per

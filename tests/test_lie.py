@@ -79,6 +79,32 @@ def test_bracket_matches_matrix_oracle():
             assert got == want, (lie.BASIS_NAMES[i], lie.BASIS_NAMES[j])
 
 
+def test_tables_match_matrix_oracle_with_exact_entry_types():
+    # The tables are built in int arithmetic: every bracket coefficient is
+    # an int, and a trace is a Fraction exactly when it is not integral.
+    for i in range(8):
+        for j in range(8):
+            pair = (lie.BASIS_NAMES[i], lie.BASIS_NAMES[j])
+            entry = lie.BRACKET_TABLE[i][j]
+            want = _commutator(ORACLE_MATRICES[i], ORACLE_MATRICES[j])
+            assert _oracle_matrix_of(entry) == want, pair
+            assert all(type(v) is int for v in entry.coeffs.values()), pair
+            trace = _trace(_matmul(ORACLE_MATRICES[i], ORACLE_MATRICES[j]))
+            value = lie.FORM_TABLE[i][j]
+            assert value == trace, pair
+            assert type(value) is (int if trace.denominator == 1 else Fraction), pair
+
+
+def test_table_build_refuses_a_bracket_off_the_integers(monkeypatch):
+    # E as X_E instead of 3 X_E: [3 X_H1, X_E] = 3 [X_H1, X_E] is not nine
+    # times an int combination of the basis, so the division by 9 drops it.
+    mats = list(lie.INTEGRAL_MATRICES)
+    mats[lie.E] = lie.BASIS_MATRICES[lie.E]
+    monkeypatch.setattr(lie, "INTEGRAL_MATRICES", tuple(mats))
+    with pytest.raises(ValueError, match=r"\[H1, E\] is not an int combination"):
+        lie._build_tables()
+
+
 def test_trace_form_matches_matrix_oracle():
     for i in range(8):
         for j in range(8):
