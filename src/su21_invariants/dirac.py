@@ -219,8 +219,8 @@ def cubic_element() -> UCElement:
 def _half_sum_norm_sq(raising_indices):
     """B(rho, rho) for rho half the sum of the weights of the given letters;
     the Cartan element of a weight w is w1 DUAL[H1] + w2 DUAL[H2]."""
-    w1 = sum(lie.weight_of(i).h1 for i in raising_indices)
-    w2 = sum(lie.weight_of(i).h2 for i in raising_indices)
+    w1 = sum(lie.WEIGHTS[i].h1 for i in raising_indices)
+    w2 = sum(lie.WEIGHTS[i].h2 for i in raising_indices)
     rho = Fraction(w1, 2) * lie.DUAL[lie.H1] + Fraction(w2, 2) * lie.DUAL[lie.H2]
     return lie.trace_form(rho, rho)
 

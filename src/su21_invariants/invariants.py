@@ -55,6 +55,11 @@ every key of the degree.  The kernel of every degree built is kept, so a
 call for any degree builds only the degrees above the highest one built
 before.
 
+The expected dimensions read the paper's free-module theorem: the
+invariants are free over C[a, b, c, d] on sixteen generators, so
+``expected_dimension`` is a coefficient of the Hilbert series P/D of a
+Hironaka decomposition (Sturmfels, *Algorithms in Invariant Theory*).
+
 The lifted product family of ``uc-basis`` is checked at every filtration
 step with one echelon carried across the steps: the degree-m rows extend
 the echelon of the lower degrees, and its size after step m is the rank
@@ -133,29 +138,27 @@ def graded_keys(n: int, weight) -> tuple:
     return tuple(keys)
 
 
-def module_table(n: int) -> int:
-    """Invariant count of the harmonic-times-exterior layer in degree n."""
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    if n == 2:
-        return 3
-    return 8 if n % 3 == 2 else 4
-
-
-def polynomial_layer_dim(n: int) -> int:
-    """Number of monomials in three variables of degrees 1, 2, 2 adding to n."""
-    half = n // 2
-    return (half + 1) * (half + 2) // 2
+# The degrees of the sixteen module generators and of a, b, c, d, as the
+# paper gives them; the ``st-basis`` count reads these, not the family.
+_GENERATOR_DEGREES = (0, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5)
+_POLYNOMIAL_DEGREES = (1, 2, 2, 3)
 
 
 def expected_dimension(n: int) -> int:
-    """Invariant dimension in degree n: the layer table convolved with the
-    polynomial layer."""
+    """Invariant dimension in degree n: [t^n] P/D, the Hilbert series of
+    the free module, with P(t) = 1 + 3t^2 + 3t^3 + 4t^4 + 5t^5 from the
+    generator degrees and D(t) = (1-t)(1-t^2)^2(1-t^3) from a, b, c, d.
+    The series is seeded with P and divided by each factor 1 - t^d."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return sum(module_table(k) * polynomial_layer_dim(n - k) for k in range(n + 1))
+    series = [0] * (n + 1)
+    for d in _GENERATOR_DEGREES:
+        if d <= n:
+            series[d] += 1
+    for d in _POLYNOMIAL_DEGREES:
+        for k in range(d, n + 1):
+            series[k] += series[k - d]
+    return series[n]
 
 
 def rank_of_elements(elements) -> int:
@@ -596,12 +599,12 @@ def verify_lifted_basis_slice(max_filtration: int) -> VerificationReport:
     members = lifted_product_members(max_filtration)
     # The degree-m rows extend one echelon; its size is the rank up to m.
     pivots = {}
-    count = 0
+    count = expect = 0
     for m in range(max_filtration + 1):
         step = [x.coeffs for _, x, deg in members if deg == m]
         count += len(step)
         rank = linalg.rank_of_rows(step, pivots, _top_degree_first)
-        expect = sum(expected_dimension(k) for k in range(m + 1))
+        expect += expected_dimension(m)
         checks.append(
             CheckResult(
                 "products-rank-le-%d" % m,

@@ -9,14 +9,13 @@ with H1, H2 spanning the diagonal Cartan subalgebra, E, F completing
 k = span{H1, H2, E, F} (the complexified maximal compact subalgebra), and
 E1, E2, F1, F2 spanning p, the -1 eigenspace of the Cartan involution.
 
-Structure constants and the trace form B(x, y) = tr(xy) are built at
-import time, in int arithmetic, from the integral matrices 3 X_i, where
-X_i are the defining 3x3 matrices: a product of two of them is nine times
-that of the X_i.  The tables are then frozen; downstream modules consume
-only the tables.  Matrix and table entries follow the coefficient policy
-of ``linalg.exact``: an ``int`` when integral, else a ``Fraction``, which
-only the diagonal entries of H1 and H2 and their traces, such as
-B(H1, H1) = 2/3, need.
+The defining 3x3 matrices X_i are kept once, as the integral matrices
+3 X_i: a product of two of them is nine times that of the X_i.  Structure
+constants and the trace form B(x, y) = tr(xy) are built from them at
+import time, in int arithmetic.  The tables are then frozen; downstream
+modules consume only the tables.  Table entries follow the coefficient
+policy of ``linalg.exact``: an ``int`` when integral, else a ``Fraction``,
+which only traces such as B(H1, H1) = 2/3 need.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ DIM = len(BASIS_NAMES)
 
 
 def _unit(r, c):
+    """3 times the matrix unit at (r, c)."""
     return tuple(
-        tuple(1 if (i, j) == (r, c) else 0 for j in range(3)) for i in range(3)
+        tuple(3 if (i, j) == (r, c) else 0 for j in range(3)) for i in range(3)
     )
 
 
@@ -48,20 +48,19 @@ def _diag(*vals):
     )
 
 
-BASIS_MATRICES = (
-    _diag(Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)),  # H1
-    _diag(Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3)),  # H2
+# The integral matrices M_i = 3 X_i, with X_i the defining 3x3 matrix of
+# the basis letter i: H1 = diag(2/3, -1/3, -1/3), H2 = diag(-1/3, 2/3, -1/3)
+# and matrix units for the root vectors.  The tables below and
+# ``dirac.cubic_element`` are built from them.
+INTEGRAL_MATRICES = (
+    _diag(2, -1, -1),  # H1
+    _diag(-1, 2, -1),  # H2
     _unit(0, 1),  # E
     _unit(1, 0),  # F
     _unit(0, 2),  # E1
     _unit(1, 2),  # E2
     _unit(2, 0),  # F1
     _unit(2, 1),  # F2
-)
-# The integral matrices 3 X_i, whose products are nine times those of the
-# X_i: the tables below and ``dirac.cubic_element`` are built from them.
-INTEGRAL_MATRICES = tuple(
-    tuple(tuple(int(3 * v) for v in row) for row in x) for x in BASIS_MATRICES
 )
 
 
@@ -120,10 +119,6 @@ def _combination(coeffs: dict, mats):
     return tuple(map(tuple, acc))
 
 
-def matrix_of(v: GVector):
-    return tuple(tuple(map(exact, row)) for row in _combination(v.coeffs, BASIS_MATRICES))
-
-
 def _coordinates(m) -> dict:
     """The coordinates of a 3x3 matrix in the fixed basis, if it is
     traceless."""
@@ -139,20 +134,12 @@ def _coordinates(m) -> dict:
     }
 
 
-def from_matrix(m) -> GVector:
-    """Express a traceless 3x3 matrix in the fixed basis, exactly."""
-    v = GVector(_coordinates(m))
-    if matrix_of(v) != tuple(map(tuple, m)):
-        raise ValueError("matrix is not in sl(3)")
-    return v
-
-
 def _build_tables():
     """Brackets and traces of the basis from the integral matrices M_i =
     3 X_i: [M_i, M_j] = 9 [X_i, X_j] and tr(M_i M_j) = 9 tr(X_i X_j).
     Each commutator's coordinates are divided by 9 in ints, and the matrix
-    rebuilt from them must give the commutator back, as in ``from_matrix``:
-    a bracket whose coefficients are not all ints raises."""
+    rebuilt from them must give the commutator back: a bracket whose
+    coefficients are not all ints raises."""
     mats = INTEGRAL_MATRICES
     prods = [[mat_mul(x, y) for y in mats] for x in mats]
     brackets = []
@@ -216,7 +203,3 @@ WEIGHTS = tuple(
     Weight(BRACKET_TABLE[H1][i].coeffs.get(i, 0), BRACKET_TABLE[H2][i].coeffs.get(i, 0))
     for i in range(DIM)
 )
-
-
-def weight_of(i: int) -> Weight:
-    return WEIGHTS[i]

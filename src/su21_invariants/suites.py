@@ -156,8 +156,9 @@ SUITES = {
     # 8 s and 197 MB peak RSS, and each step of 2 about four times as long
     # as the one before.
     "uc-basis": Suite(invariants.verify_lifted_basis_slice, "max_filtration", 4, 14),
-    # `verify ideal-slice --max-filtration 7` takes about 2.5 s and 53 MB
-    # peak RSS on the same machine, and 8 about 15 s and 127 MB.
+    # `verify ideal-slice --max-filtration 7` takes about 2.2 s CPU and
+    # 52 MB peak RSS on the same machine, and 8, one past the cap, about
+    # 8.7 s CPU and 126 MB.
     "ideal-slice": Suite(invariants.verify_ideal_slice, "max_filtration", 3, 7),
 }
 

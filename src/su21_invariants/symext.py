@@ -104,9 +104,8 @@ def format_tensor(x, sep="^^") -> str:
     """Print an element of S(g) (x) Lambda(p), or with sep="*" of
     U(g) (x) C(p); sep joins the letters of the right tensor leg."""
     terms = []
-    for key in sorted(
-        x.coeffs, key=lambda k: (sum(k[0]) + k[1].bit_count(), k), reverse=True
-    ):
+    key_degree = SymTensorElement.key_degree
+    for key in sorted(x.coeffs, key=lambda k: (key_degree(k), k), reverse=True):
         exps, mask = key
         q = x.coeffs[key]
         left = _exps_str(exps)

@@ -1,9 +1,10 @@
 """Graded invariant dimensions, decompositions and basis rank checks.
 
-Two independent oracles guard the main computation: the expected
-dimensions are recomputed here by a direct convolution, and the
-weight-zero kernel reduction is cross-checked against the joint kernel of
-all four k-generators acting on every key of the degree.
+Independent oracles guard the main computation: the expected dimensions
+are recomputed here twice, by a direct convolution of the layer table and
+by counting weights (Molien-Weyl), and the weight-zero kernel reduction is
+cross-checked against the joint kernel of all four k-generators acting on
+every key of the degree.
 """
 
 import hashlib
@@ -46,17 +47,46 @@ def _oracle_expected(n):
     return sum(_oracle_layer(k) * _oracle_polynomial(n - k) for k in range(n + 1))
 
 
+# (H1, H2)-weights of H1, H2, E, F, E1, E2, F1, F2; the last four are also
+# the exterior letters.
+_ORACLE_WEIGHTS = ((0, 0), (0, 0), (1, -1), (-1, 1), (1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _oracle_weight_dims(max_n):
+    """N_n(0,0) - N_n(1,-1) for n <= max_n, with N_n(w) the number of
+    degree-n keys of weight w.  K is connected, and a module of
+    sl2 (+) centre has as many trivial summands as weight-(0,0) vectors
+    minus weight-E vectors (Molien-Weyl)."""
+    # sym[s][w]: monomials of degree s and weight w in the eight letters.
+    sym = [{(0, 0): 1}] + [{} for _ in range(max_n)]
+    for w1, w2 in _ORACLE_WEIGHTS:
+        for s in range(1, max_n + 1):
+            for (a, b), c in sym[s - 1].items():
+                sym[s][(a + w1, b + w2)] = sym[s].get((a + w1, b + w2), 0) + c
+    wedges = []
+    for subset in range(16):
+        picked = [_ORACLE_WEIGHTS[4 + i] for i in range(4) if subset >> i & 1]
+        weight = (sum(w[0] for w in picked), sum(w[1] for w in picked))
+        wedges.append((len(picked), weight))
+
+    def count(n, target):
+        return sum(
+            sym[n - k].get((target[0] - w[0], target[1] - w[1]), 0)
+            for k, w in wedges
+            if k <= n
+        )
+
+    return [count(n, (0, 0)) - count(n, (1, -1)) for n in range(max_n + 1)]
+
+
 def test_expected_dimension_against_convolution_oracle():
-    for n in range(16):
-        assert inv.expected_dimension(n) == _oracle_expected(n)
+    by_weights = _oracle_weight_dims(40)
+    for n in range(41):
+        assert inv.expected_dimension(n) == _oracle_expected(n) == by_weights[n], n
 
 
 def test_expected_dimension_frozen_values():
     assert [inv.expected_dimension(n) for n in range(9)] == EXPECTED_DIMS
-
-
-def test_polynomial_layer_values():
-    assert [inv.polynomial_layer_dim(n) for n in range(6)] == [1, 1, 3, 3, 6, 6]
 
 
 def _all_keys(n):
@@ -808,9 +838,7 @@ def test_coefficients_stay_exact():
         assert all(type(v) is int for v in x.coeffs.values())
     assert all(type(v) is int for _m, v in clifford.chevalley_items(0b0101))
     _assert_exact(dirac.casimir_omega())
-    integral_h = lie.GVector({lie.H1: 1, lie.H2: 2})
-    matrices = lie.BASIS_MATRICES + (lie.matrix_of(integral_h),)
-    for row in lie.FORM_TABLE + tuple(r for m in matrices for r in m):
+    for row in lie.FORM_TABLE:
         for v in row:
             assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
     assert type(lie.FORM_TABLE[lie.E1][lie.F1]) is int

@@ -99,7 +99,7 @@ def test_table_build_refuses_a_bracket_off_the_integers(monkeypatch):
     # E as X_E instead of 3 X_E: [3 X_H1, X_E] = 3 [X_H1, X_E] is not nine
     # times an int combination of the basis, so the division by 9 drops it.
     mats = list(lie.INTEGRAL_MATRICES)
-    mats[lie.E] = lie.BASIS_MATRICES[lie.E]
+    mats[lie.E] = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     monkeypatch.setattr(lie, "INTEGRAL_MATRICES", tuple(mats))
     with pytest.raises(ValueError, match=r"\[H1, E\] is not an int combination"):
         lie._build_tables()
@@ -222,28 +222,15 @@ def test_form_orthogonality_of_split():
 
 
 def test_weights():
-    assert lie.weight_of(lie.E1) == (1, 0)
-    assert lie.weight_of(lie.F2) == (0, -1)
-    assert lie.weight_of(lie.H1) == (0, 0)
-    assert lie.weight_of(lie.E) == (1, -1)
+    assert lie.WEIGHTS[lie.E1] == (1, 0)
+    assert lie.WEIGHTS[lie.F2] == (0, -1)
+    assert lie.WEIGHTS[lie.H1] == (0, 0)
+    assert lie.WEIGHTS[lie.E] == (1, -1)
     for i in range(8):
-        w = lie.weight_of(i)
+        w = lie.WEIGHTS[i]
         assert type(w.h1) is int and type(w.h2) is int
         assert lie.bracket(gvec(lie.H1), gvec(i)) == w.h1 * gvec(i)
         assert lie.bracket(gvec(lie.H2), gvec(i)) == w.h2 * gvec(i)
-
-
-def test_from_matrix_round_trip():
-    v = GVector({lie.H1: Fraction(1, 2), lie.E: 3, lie.F2: -2})
-    assert lie.from_matrix(lie.matrix_of(v)) == v
-
-
-def test_from_matrix_rejects_trace():
-    bad = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3)
-    )
-    with pytest.raises(ValueError):
-        lie.from_matrix(bad)
 
 
 def test_broken_bracket_fails_the_lie_suite(monkeypatch):
