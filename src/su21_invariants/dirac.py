@@ -55,14 +55,12 @@ from .lie import GVector
 from .linalg import SparseElement, add_terms
 from .report import CheckResult, VerificationReport
 
-ZERO_EXPS = env.ZERO_EXPS
-
 
 class UCElement(SparseElement):
     """Element of U(sl3) (x) C(p): {(PBW exponents, blade mask): coefficient}."""
 
     __slots__ = ()
-    UNIT = (ZERO_EXPS, 0)
+    UNIT = (lie.ZERO_EXPS, 0)
     KEYS = {}
     key_degree = staticmethod(symext.SymTensorElement.key_degree)
 
@@ -96,7 +94,9 @@ def uc_one() -> UCElement:
 
 def u_vec(v: GVector) -> UCElement:
     """v in g as the element v (x) 1."""
-    return UCElement({(env._inc(ZERO_EXPS, i), 0): c for i, c in v.coeffs.items()})
+    return UCElement(
+        {(env._inc(lie.ZERO_EXPS, i), 0): c for i, c in v.coeffs.items()}
+    )
 
 
 def c_vec(v: GVector) -> UCElement:
@@ -105,7 +105,7 @@ def c_vec(v: GVector) -> UCElement:
     for i, c in v.coeffs.items():
         if i not in lie.P_SET:
             raise ValueError("vector is not in p")
-        out[(ZERO_EXPS, 1 << (i - lie.E1))] = c
+        out[(lie.ZERO_EXPS, 1 << (i - lie.E1))] = c
     return UCElement(out)
 
 

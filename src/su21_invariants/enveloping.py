@@ -44,8 +44,6 @@ from functools import lru_cache
 from . import lie
 from .linalg import add_terms
 
-ZERO_EXPS = (0,) * 8
-
 
 def _inc(exps, i):
     out = list(exps)
@@ -99,7 +97,7 @@ def pbw_product_items(k1, k2) -> tuple:
 def _symmetrize_items(exps) -> tuple:
     n = sum(exps)
     if n == 0:
-        return ((ZERO_EXPS, 1),)
+        return ((lie.ZERO_EXPS, 1),)
     acc = {}
     for i, e in enumerate(exps):
         if not e:

@@ -394,7 +394,7 @@ class _Parser:
                 # Straightening adds every lower degree: all the monomials
                 # of degree at most n.  C(p) has only 16 blades.
                 size = comb(t + exponent, exponent)
-                if all(exps == dirac.ZERO_EXPS for exps, _ in value.coeffs):
+                if all(exps == lie.ZERO_EXPS for exps, _ in value.coeffs):
                     size = min(size, 16)
             else:
                 size = comb(t + exponent - 1, exponent)

@@ -78,20 +78,12 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, lcm
+from itertools import combinations_with_replacement
+from math import comb, lcm, prod
 
 from . import dirac, lie, linalg, symext
 from .report import CheckResult, VerificationReport
 from .symext import SymTensorElement
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def graded_keys(n: int, weight) -> tuple:
@@ -378,14 +370,16 @@ def verify_table(max_degree: int) -> VerificationReport:
 
 
 def _highest_weight_string(v: SymTensorElement, weight) -> tuple:
-    """(v is killed by ad(E) and has the stated weight, its ad(F)-string).
+    """(v is nonzero, killed by ad(E), and every one of its terms has the
+    stated weight; its ad(F)-string).
 
     A highest weight vector of weight (w1, w2) has w1 - w2 + 1 terms in its
     string v, ad(F) v, ...; no more lowering steps than that are taken.
     """
     highest = (
-        symext.ad_action(lie.gvec(lie.E), v).is_zero()
-        and symext.key_weight(next(iter(v.coeffs))) == weight
+        not v.is_zero()
+        and symext.ad_action(lie.gvec(lie.E), v).is_zero()
+        and all(symext.key_weight(key) == weight for key in v.coeffs)
     )
     string = [v]
     for _ in range(weight[0] - weight[1] + 1):
@@ -403,14 +397,12 @@ def _is_ad_k_stable(span) -> bool:
 
 
 def _sym_power_family(gens, n: int) -> list:
-    """All degree-n products of the given degree-1 commuting elements."""
-    out = []
-    for exps in _compositions(n, len(gens)):
-        x = symext.one()
-        for g, e in zip(gens, exps):
-            x = x * g ** e
-        out.append(x)
-    return out
+    """All degree-n products of the given degree-1 commuting elements, one
+    per multiset of n letters."""
+    return [
+        prod(word, start=symext.one())
+        for word in combinations_with_replacement(gens, n)
+    ]
 
 
 def _verify_sym_decomposition(suite, n, letters, invariant, highest, anchors):

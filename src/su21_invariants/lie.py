@@ -33,6 +33,7 @@ P_INDICES = (E1, E2, F1, F2)
 K_SET = frozenset(K_INDICES)
 P_SET = frozenset(P_INDICES)
 DIM = len(BASIS_NAMES)
+ZERO_EXPS = (0,) * DIM
 
 
 def _unit(r, c):

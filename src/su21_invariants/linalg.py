@@ -7,11 +7,13 @@ fraction-free: rows are rescaled to primitive integer vectors (an all-int
 row needs no ``Fraction`` at all) and combined by integer
 cross-multiplication, with the content divided out after every
 combination, so the elimination loop never performs rational division
-and coefficient growth stays tame.  The two multipliers are divided by
-their gcd before they scale anything, so a unit pivot costs a copy of the
-row and no multiplication.  Division happens only where a result
-leaves the integers: the normalization of ``rref_rows`` to unit pivots,
-and the kernel entries of ``kernel_of_rows``.
+and coefficient growth stays tame.  The content of a row is ``math.gcd``
+of its entries, and the denominator a rational row is cleared with is
+``math.lcm`` of its entries' denominators.  The two multipliers are
+divided by their gcd before they scale anything, so a unit pivot costs a
+copy of the row and no multiplication.  Division happens only where a
+result leaves the integers: the normalization of ``rref_rows`` to unit
+pivots, and the kernel entries of ``kernel_of_rows``.
 
 The rows are kept, not copied.  No row passed in is ever modified: every
 combination builds a new dict.  A row that is primitive already, all
@@ -47,7 +49,7 @@ dict, and its printed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def exact(v):
@@ -76,37 +78,20 @@ def _primitive(row) -> dict:
     returned as it is, not copied; any other row gives a new dict with its
     zero entries dropped.
     """
-    g = 0
-    for v in row.values():
-        if type(v) is not int or not v:
-            break
-        g = gcd(g, v)
-    else:
-        if g == 1:
-            return row
-    denom = 1
-    for v in row.values():
-        if type(v) is not int:
-            d = Fraction(v).denominator
-            denom = denom * d // gcd(denom, d)
+    values = row.values()
+    if all(type(v) is int and v for v in values) and gcd(*values) == 1:
+        return row
+    denom = lcm(*(Fraction(v).denominator for v in values if type(v) is not int))
     out = {}
-    g = 0
     for c, v in row.items():
         n = v * denom if type(v) is int else (Fraction(v) * denom).numerator
         if n:
             out[c] = n
-            g = gcd(g, n)
-    if g > 1:
-        out = {c: n // g for c, n in out.items()}
-    return out
+    return _strip_content(out)
 
 
 def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row

@@ -38,10 +38,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from . import lie
-from .lie import E, E1, E2, F, F1, F2, GVector, Weight
+from .lie import E, E1, E2, F, F1, F2, ZERO_EXPS, GVector, Weight
 from .linalg import SparseElement, add_terms
-
-ZERO_EXPS = (0,) * 8
 
 
 def ext_bit(index: int) -> int:

@@ -12,6 +12,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -96,7 +97,9 @@ def _all_keys(n):
     for mask in range(16):
         sym_deg = n - mask.bit_count()
         if sym_deg >= 0:
-            keys.extend((exps, mask) for exps in inv._compositions(sym_deg, 8))
+            for letters in combinations_with_replacement(range(8), sym_deg):
+                exps = tuple(letters.count(i) for i in range(8))
+                keys.append((exps, mask))
     keys.sort()
     return tuple(keys)
 
@@ -408,6 +411,21 @@ def test_span_that_is_not_ad_k_stable_fails_the_rank_test():
     assert ok and string == [e1, e2]
     ok, _ = inv._highest_weight_string(e1 * f1, (0, 0))
     assert not ok
+
+
+def test_highest_weight_check_reads_every_term():
+    e, e1 = symext.sym_gen(lie.E), symext.sym_gen(lie.E1)
+    # ad(E) kills both E and E1, but E^2 has weight (2, -2) and E1^2 has
+    # (2, 0): neither sum is a weight vector, whichever term comes first.
+    assert symext.ad_action(gvec(lie.E), e).is_zero()
+    assert symext.ad_action(gvec(lie.E), e1).is_zero()
+    for v in (e**2 + e1**2, e1**2 + e**2):
+        for weight in ((2, -2), (2, 0)):
+            ok, _ = inv._highest_weight_string(v, weight)
+            assert not ok, (v, weight)
+    assert inv._highest_weight_string(e**2, (2, -2))[0]
+    assert inv._highest_weight_string(e1**2, (2, 0))[0]
+    assert not inv._highest_weight_string(symext.zero(), (0, 0))[0]
 
 
 def test_ext_decomposition_highest_weight_example():

@@ -165,6 +165,102 @@ def test_echelon_leaves_every_input_row_unchanged():
             assert len(pivots) == linalg.rank_of_rows(before)
 
 
+def _ref_primitive(row):
+    """The earlier gcd-loop rescaling of a row to primitive integer form,
+    kept as the reference for ``linalg._primitive``."""
+    g = 0
+    for v in row.values():
+        if type(v) is not int or not v:
+            break
+        g = gcd(g, v)
+    else:
+        if g == 1:
+            return row
+    denom = 1
+    for v in row.values():
+        if type(v) is not int:
+            d = Fraction(v).denominator
+            denom = denom * d // gcd(denom, d)
+    out = {}
+    g = 0
+    for c, v in row.items():
+        n = v * denom if type(v) is int else (Fraction(v) * denom).numerator
+        if n:
+            out[c] = n
+            g = gcd(g, n)
+    if g > 1:
+        out = {c: n // g for c, n in out.items()}
+    return out
+
+
+def _ref_strip_content(row):
+    """The earlier early-exit content loop, the reference for
+    ``linalg._strip_content``."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _content_rows(rng):
+    """Seeded rows of every shape the content routines meet: the empty row,
+    primitive int rows, rows with content > 1, negative entries, explicit
+    zeros, and Fractions, integral ones included."""
+    rows = [{}, {0: 0}, {3: 1}, {3: -1}, {2: 6}, {0: -4, 5: 0, 7: -6}]
+    for _ in range(400):
+        ncols = rng.randint(1, 7)
+        scale = rng.choice((1, 1, 2, 3, 6, 12))
+        row = {}
+        for c in range(ncols):
+            r = rng.random()
+            if r < 0.15:
+                row[c] = 0
+            elif r < 0.3:
+                row[c] = Fraction(rng.randint(-9, 9) * scale, rng.randint(1, 4))
+            elif r < 0.4:
+                row[c] = Fraction(rng.randint(-9, 9) * scale)
+            elif r < 0.9:
+                row[c] = rng.choice(_LEADS) * scale
+        rows.append(row)
+    return rows
+
+
+def test_content_routines_match_the_gcd_loop_reference():
+    rng = random.Random(59)
+    seen = set()
+    for row in _content_rows(rng):
+        before = dict(row)
+        got, want = linalg._primitive(row), _ref_primitive(row)
+        assert row == before
+        assert got == want, row
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        assert all(type(v) is int and v for v in got.values())
+        assert (got is row) == (want is row)
+        primitive = (
+            all(type(v) is int and v for v in row.values()) and gcd(*row.values()) == 1
+        )
+        assert (got is row) == primitive
+        seen.add(
+            (
+                primitive,
+                any(type(v) is Fraction for v in row.values()),
+                0 in row.values(),
+            )
+        )
+        if all(type(v) is int for v in row.values()):
+            got, want = linalg._strip_content(row), _ref_strip_content(row)
+            assert got == want, row
+            assert (got is row) == (want is row)
+            assert row == before
+    # Every reachable (primitive, has a Fraction, has a zero) shape was met:
+    # a primitive row has neither, the others all four combinations.
+    assert len(seen) == 5
+
+
 def _ref_combine(row, piv, lead):
     """The literal piv[lead]*row - row[lead]*piv with its content divided out."""
     a, b = row[lead], piv[lead]
@@ -182,7 +278,7 @@ def _ref_combine(row, piv, lead):
 def _ref_echelon(rows, lead):
     pivots = {}
     for row in rows:
-        row = linalg._primitive(row)
+        row = _ref_primitive(row)
         while row:
             col = lead(row)
             if col not in pivots:
