@@ -94,19 +94,14 @@ def uc_one() -> UCElement:
 
 def u_vec(v: GVector) -> UCElement:
     """v in g as the element v (x) 1."""
-    return UCElement(
-        {(env._inc(lie.ZERO_EXPS, i), 0): c for i, c in v.coeffs.items()}
-    )
+    return UCElement({symext.SYM_KEYS[i]: c for i, c in v.coeffs.items()})
 
 
 def c_vec(v: GVector) -> UCElement:
     """v in p as the element 1 (x) v."""
-    out = {}
-    for i, c in v.coeffs.items():
-        if i not in lie.P_SET:
-            raise ValueError("vector is not in p")
-        out[(lie.ZERO_EXPS, 1 << (i - lie.E1))] = c
-    return UCElement(out)
+    if not v.coeffs.keys() <= symext.EXT_KEYS.keys():
+        raise ValueError("vector is not in p")
+    return UCElement({symext.EXT_KEYS[i]: c for i, c in v.coeffs.items()})
 
 
 def u_gen(i: int) -> UCElement:
@@ -149,7 +144,7 @@ def sigma_tau(x: symext.SymTensorElement) -> UCElement:
     out = {}
     get = out.get
     for (exps, mask), q in x.coeffs.items():
-        u_items = env._symmetrize_items(exps)
+        u_items = env.symmetrize_items(exps)
         for cm, cc in cl.chevalley_items(mask):
             qc = q * cc
             for ue, uc in u_items:

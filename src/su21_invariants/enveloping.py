@@ -17,8 +17,9 @@ products (u D) v at bound 7 have the longer one; ROADMAP records the
 counts.  The insertion routine is memoized on (generator, monomial), so
 repeated products share all intermediate straightening work.
 
-Symmetrization sends a commutative monomial to the average over all
-orderings of its letters.  It is computed by the last-letter recursion
+Symmetrization (``symmetrize_items``, the left leg of ``dirac.sigma_tau``)
+sends a commutative monomial to the average over all orderings of its
+letters.  It is computed by the last-letter recursion
 
     sigma(m) = (1/deg m) * sum_i  mult_i(m) * sigma(m / z_i) * z_i
 
@@ -94,7 +95,7 @@ def pbw_product_items(k1, k2) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _symmetrize_items(exps) -> tuple:
+def symmetrize_items(exps) -> tuple:
     n = sum(exps)
     if n == 0:
         return ((lie.ZERO_EXPS, 1),)
@@ -103,6 +104,6 @@ def _symmetrize_items(exps) -> tuple:
         if not e:
             continue
         q = Fraction(e, n)
-        for key, c in _symmetrize_items(_dec(exps, i)):
+        for key, c in symmetrize_items(_dec(exps, i)):
             add_terms(acc, _insert(i, key), q * c)
     return tuple(acc.items())

@@ -5,15 +5,15 @@ has one slot per basis element of g, and the mask packs a subset of
 {E1, E2, F1, F2} as four bits in that order.  Wedge signs are always
 normalized to increasing mask order; total degree is symmetric degree
 plus exterior degree.  The adjoint action of k extends the bracket as a
-derivation on both tensor legs.  It reads letter tables built once per
-acting element z, from ``lie.BRACKET_TABLE``, and kept in a small bounded
-cache: the diagonal coefficient [z, x_i]_i of each letter, which adds up
-to one scalar per key, and the off-diagonal moves, the only part of the
-action that builds new keys.  ad(H1) and ad(H2) are diagonal and only
-rescale keys.  One per-key routine (``_key_terms``) turns the tables into
-the terms of ad(z) on one key; ``ad_action`` adds them up over an
-element, and ``ad_images`` hands them out per key, for callers that apply
-the action to many elements on the same keys.  U(g) (x) C(p) keys its
+derivation on both tensor legs: each letter x_i of a key is replaced by
+its bracket [z, x_i], the diagonal part included, which gives the key
+back.  It reads letter tables built once per acting element z, from
+``lie.BRACKET_TABLE``, and kept in a small bounded cache: the moves of
+each symmetric letter and, per exterior mask, the signed new masks.  One
+per-key routine (``_key_terms``) turns the tables into the terms of
+ad(z) on one key; ``ad_action`` adds them up over an element, and
+``ad_images`` hands them out per key, for callers that apply the action
+to many elements on the same keys.  U(g) (x) C(p) keys its
 elements the same way, so ``format_tensor`` and ``format_c`` here print
 both algebras: every failed check's residual and both ``repr``s.
 
@@ -34,7 +34,7 @@ family a^n1 b^n2 c^n3 d^n4 * t over the sixteen module generators t.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
+from operator import add
 from typing import NamedTuple
 
 from . import lie
@@ -168,25 +168,29 @@ def zero() -> SymTensorElement:
     return SymTensorElement()
 
 
+# SYM_KEYS[i] is the key of the letter i of g in the left leg, and
+# EXT_KEYS[i] that of the letter i of p in the right leg; U(g) (x) C(p)
+# keys its letters the same way.
+SYM_KEYS = tuple(
+    (tuple(int(j == i) for j in range(lie.DIM)), 0) for i in range(lie.DIM)
+)
+EXT_KEYS = {i: (ZERO_EXPS, 1 << ext_bit(i)) for i in lie.P_INDICES}
+
+
 def sym_gen(i: int) -> SymTensorElement:
     """Basis vector of g placed in the symmetric leg."""
-    exps = list(ZERO_EXPS)
-    exps[i] = 1
-    return SymTensorElement({(tuple(exps), 0): 1})
+    return SymTensorElement({SYM_KEYS[i]: 1})
 
 
 def ext_gen(i: int) -> SymTensorElement:
     """Basis vector of p placed in the exterior leg."""
-    if i not in lie.P_SET:
+    if i not in EXT_KEYS:
         raise ValueError("exterior generators come from p")
-    return SymTensorElement({(ZERO_EXPS, 1 << ext_bit(i)): 1})
+    return SymTensorElement({EXT_KEYS[i]: 1})
 
 
 def from_gvector(v: GVector) -> SymTensorElement:
-    out = zero()
-    for i, c in v.coeffs.items():
-        out = out + c * sym_gen(i)
-    return out
+    return SymTensorElement({SYM_KEYS[i]: c for i, c in v.coeffs.items()})
 
 
 def key_weight(key) -> Weight:
@@ -207,16 +211,14 @@ def key_weight(key) -> Weight:
 def _letter_tables(z_items: tuple) -> tuple:
     """The letter tables of ad(z), for z given by its sorted (index, coeff) items.
 
-    Returns (sym_diag, sym_moves, mask_diag, mask_moves, bad):
+    Returns (sym_moves, mask_moves, bad):
 
-    * sym_diag[i] = [z, x_i]_i, the diagonal coefficient of the symmetric
-      letter i, or None when all eight are zero;
     * sym_moves, the pairs (i, ((j, u), ...)) of the letters i whose
-      bracket [z, x_i] has an off-diagonal part sum_j u x_j;
-    * mask_diag[mask], the sum of the diagonal coefficients of the
-      exterior letters in mask;
-    * mask_moves[mask], the pairs (new mask, signed u) that one
-      off-diagonal exterior replacement makes, wedge sign included;
+      bracket [z, x_i] = sum_j u x_j is not zero; its diagonal part is the
+      move onto the same letter, j = i;
+    * mask_moves[mask], the pairs (new mask, signed u) that one exterior
+      replacement makes, wedge sign included; the diagonal parts of the
+      letters in mask add up in the move onto mask itself;
     * bad, the bits of the exterior letters whose bracket leaves p.
     """
     images = []
@@ -225,62 +227,47 @@ def _letter_tables(z_items: tuple) -> tuple:
         for zi, zc in z_items:
             add_terms(acc, lie.BRACKET_TABLE[zi][i].coeffs.items(), zc)
         images.append(acc)
-    sym_diag = tuple(images[i].get(i, 0) for i in range(lie.DIM))
-    sym_moves = []
-    for i, img in enumerate(images):
-        moves = tuple((j, u) for j, u in img.items() if j != i)
-        if moves:
-            sym_moves.append((i, moves))
+    sym_moves = tuple((i, tuple(img.items())) for i, img in enumerate(images) if img)
     bad = 0
     for k in range(4):
         if not images[lie.E1 + k].keys() <= lie.P_SET:
             bad |= 1 << k
-    mask_diag = []
     mask_moves = []
     for mask in range(16):
-        diag = 0
         moves = {}
         for k in range(4):
             if not mask >> k & 1 or bad >> k & 1:
                 continue
+            # The word is x_k ^ rest up to the sign of merging the two;
+            # x_jb ^ rest is the new word up to its own sign, and jb = k
+            # gives the word back with sign +1.
+            rest = mask ^ (1 << k)
             for j, u in images[lie.E1 + k].items():
                 jb = ext_bit(j)
-                if jb == k:
-                    diag += u
-                elif not mask >> jb & 1:
-                    # The word is x_k ^ rest up to the sign of merging the
-                    # two; x_jb ^ rest is the new word up to its own sign.
-                    rest = mask ^ (1 << k)
+                if not rest >> jb & 1:
                     sign = _MERGE_SIGNS[1 << k][rest] * _MERGE_SIGNS[1 << jb][rest]
                     new = rest | (1 << jb)
                     moves[new] = moves.get(new, 0) + sign * u
-        mask_diag.append(diag)
         mask_moves.append(tuple((m, u) for m, u in moves.items() if u))
-    return (
-        sym_diag if any(sym_diag) else None,
-        tuple(sym_moves),
-        tuple(mask_diag),
-        tuple(mask_moves),
-        bad,
-    )
+    return sym_moves, tuple(mask_moves), bad
 
 
 def _key_terms(tables: tuple, key) -> list:
     """The (new key, coeff) terms of ad(z) on one key, from the letter
-    tables of z; no two terms share a key, and zero terms are left out.
+    tables of z: each letter is replaced by its bracket, and zero terms
+    are left out.
 
-    The diagonal part is one scalar, sum_i e_i [z, x_i]_i over the
-    symmetric letters plus the diagonal coefficients of the exterior
-    letters; only the off-diagonal moves build new keys.
+    Terms share a key only through the diagonal parts of several letters,
+    that is, for a z with a Cartan part; ``ad_action`` adds them up.  For
+    the root vectors E and F, the only z that ``ad_images`` serves, no two
+    terms share a key, and the a-free rows of
+    ``invariants._next_kernel`` rely on this.
     """
-    sym_diag, sym_moves, mask_diag, mask_moves, bad = tables
+    sym_moves, mask_moves, bad = tables
     exps, mask = key
     if mask & bad:
         raise ValueError("adjoint action on the exterior leg requires a k-element")
-    s = mask_diag[mask]
-    if sym_diag is not None:
-        s += sum(map(mul, exps, sym_diag))
-    terms = [(key, s)] if s else []
+    terms = []
     for i, moves in sym_moves:
         e = exps[i]
         if not e:
@@ -305,6 +292,9 @@ def ad_images(z: GVector, keys):
     yielded in the order given, with the letter tables of z read once;
     ad(z) of an element is the linear combination of its keys' terms.
 
+    For a root vector z, such as E and F, no two terms of one key share a
+    key (see ``_key_terms``).
+
     A z whose bracket pushes an exterior letter out of p raises ValueError
     at a key with that letter, as ``ad_action`` does.
     """
@@ -317,8 +307,9 @@ def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
 
     The letter tables of ad(z) (``_letter_tables``) are built once per z
     and kept in a small cache; each key's terms come from ``_key_terms``,
-    the routine behind ``ad_images`` too, so ad(H1) and ad(H2) rescale
-    each key in place and only the off-diagonal moves build new keys.
+    the routine behind ``ad_images`` too, and are added up here, so the
+    diagonal parts of several letters, such as those of ad(H1) and
+    ad(H2), meet in one coefficient.
 
     On the exterior leg only the k-part of the action makes sense; a z
     whose bracket pushes an exterior letter out of p raises ValueError.

@@ -1,7 +1,8 @@
 """The import structure of the package: every import of a package module
-sits at module level, and those imports form no cycle; importing the
-command line loads none of the standard library's heavy introspection
-modules; and every memo of the package is read again by the default run."""
+sits at module level, and those imports form no cycle; no module reads a
+private name of another; importing the command line loads none of the
+standard library's heavy introspection modules; and every memo of the
+package is read again by the default run."""
 
 import ast
 import os
@@ -58,6 +59,37 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def _is_private(name) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """A leading underscore marks a name as its module's own business:
+    another module may not import it (``from .x import _name``) nor read
+    it off an imported module (``from . import x [as y]``, then
+    ``y._name``)."""
+    found = []
+    for name, tree in _trees().items():
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    found.append("%s reads %s.%s" % (name, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _is_private(node.attr)
+            ):
+                found.append("%s reads %s.%s" % (name, modules[node.value.id], node.attr))
+    assert not found, sorted(set(found))
 
 
 # Modules the package does not need, each of which would add to the start-up

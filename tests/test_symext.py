@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from su21_invariants import invariants as inv
 from su21_invariants import lie, symext
 from su21_invariants.lie import gvec
 from su21_invariants.symext import (
@@ -89,6 +91,46 @@ def test_ad_action_is_derivation():
         lhs = ad_action(z, x * y)
         rhs = ad_action(z, x) * y + x * ad_action(z, y)
         assert lhs == rhs
+
+
+def _keys_up_to(d):
+    """Every key of total degree <= d."""
+    out = []
+    for mask in range(16):
+        for s in range(d - mask.bit_count() + 1):
+            for letters in combinations_with_replacement(range(lie.DIM), s):
+                out.append((tuple(letters.count(i) for i in range(lie.DIM)), mask))
+    return out
+
+
+def test_ad_action_is_a_derivation_on_every_pair_of_low_keys():
+    keys = _keys_up_to(3)
+    assert len(keys) == 403
+    degree = SymTensorElement.key_degree
+    monomial = {key: SymTensorElement({key: 1}) for key in keys}
+    cases = 0
+    for i in lie.K_INDICES:
+        z = gvec(i)
+        image = {key: ad_action(z, x) for key, x in monomial.items()}
+        for kx, x in monomial.items():
+            for ky, y in monomial.items():
+                if degree(kx) + degree(ky) <= 3:
+                    lhs = ad_action(z, x * y)
+                    assert lhs == image[kx] * y + x * image[ky], (i, kx, ky)
+                    cases += 1
+    assert cases == 10900
+
+
+@pytest.mark.parametrize("i", [lie.E, lie.F], ids=["E", "F"])
+def test_root_vector_terms_have_distinct_keys(i):
+    """The slice tables and the a-free kernel rows take each term of a
+    key's image as its own entry, so for E and F no two may share a key."""
+    z = gvec(i)
+    for n in range(9):
+        keys = inv.graded_keys(n, lie.Weight(0, 0))
+        for key, terms in zip(keys, symext.ad_images(z, keys)):
+            targets = [t for t, u in terms if u]
+            assert len(set(targets)) == len(targets) == len(terms), key
 
 
 def test_ad_action_is_a_representation():
