@@ -12,9 +12,9 @@ rewrites
 The work then grows with the length of the right factor.  That suits
 the lifted product basis, where 90% of the distinct products up to
 filtration 10 have the shorter right factor (a monomial times a letter
-or a generator), but not the ideal slice, where a third of the distinct
-products (u D) v at bound 7 have the longer one; ROADMAP records the
-counts.  The insertion routine is memoized on (generator, monomial), so
+or a generator), but not the ideal slice, where 14 092 of the 39 545
+distinct products at bound 7 have the longer one, nearly all of them
+(u D) v.  The insertion routine is memoized on (generator, monomial), so
 repeated products share all intermediate straightening work.
 
 Symmetrization (``symmetrize_items``, the left leg of ``dirac.sigma_tau``)

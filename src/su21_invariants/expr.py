@@ -10,6 +10,12 @@ Grammar (whitespace insensitive):
     atom    :=  NUMBER | SYMBOL | '(' expr ')'
     NUMBER  :=  digits ['/' digits]
 
+One regular expression scans the text: after any whitespace, a named
+group per token kind matches '(x)' (whitespace allowed inside), '^^',
+'^', '(', ')', one of '+-*', a NUMBER of ASCII digits, or a SYMBOL, a
+run of letters and digits (str.isalnum) that must start with a letter.
+Anything else is an unexpected character.
+
 The same grammar serves four contexts which differ only in the symbols
 they admit and the algebra the operators act in; one table holds, per
 context, the letter constructors, the scalar and the printer:
@@ -50,21 +56,8 @@ takes about 2.2 seconds on the same machine, while the square of the
 power of all eight letters to 10 (378 million pairs) is refused.  In the
 enveloping context a pair costs more the higher the degree of the right
 factor, since PBW products straighten from the right, so there a pair of
-factors of degrees p and q counts q (p + q) / 2 times.  CPU time of the
-product alone, L the sum of the eight letters (Python 3.11.7, one core
-of a shared 2-vCPU Xeon):
-
-    product               pairs       counted as   CPU time
-    L^5 * L^5             1 597 696   39 942 400   about 71 s   refused
-    (E+F)^14 squared        280 900   55 056 400   37.0 s       refused
-    L^2 * L^8               561 352   22 454 080   20.7 s       refused
-    (E+F)^12 squared        112 225   16 160 400   9.4 s        refused
-    (E1+F1)^12 squared      112 225   16 160 400   8.5 s        refused
-    (E+F)^4 * (E+F)^20       32 110    7 706 400   4.1 s        refused
-    L^4 * L^4               234 256    3 748 096   4.4 s        refused
-    (E+F)^20 * (E+F)^4       32 110    1 541 280   0.71 s
-    (E+F)^8 squared          10 000      640 000   0.41 s
-    L^3 * L^3                24 336      219 024   0.34 s
+factors of degrees p and q counts q (p + q) / 2 times; the README gives
+the CPU time of ten such products on either side of the cap.
 
 A coefficient may have at most MAX_COEFFICIENT_DIGITS (4 300) digits in
 its numerator and in its denominator, CPython's default limit on printing
@@ -92,6 +85,7 @@ exactly, and print(parse(s)) canonicalizes s.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -161,11 +155,6 @@ def product_problem(x, y) -> str | None:
     )
 
 
-# Only ASCII digits form numbers: str.isdigit() also admits other scripts'
-# digits and superscripts, which int() either reads or rejects untidily.
-_DIGITS = "0123456789"
-
-
 def _literal(text: str, start: int, end: int) -> int:
     """The int of the digits text[start:end], refused past
     MAX_COEFFICIENT_DIGITS or the interpreter's own limit."""
@@ -186,76 +175,46 @@ def _literal(text: str, start: int, end: int) -> int:
         ) from None
 
 
+# No group matches at the end of the text or before a character that
+# starts no token.  \s is exactly str.isspace() and [^\W_] exactly
+# str.isalnum().  Only ASCII digits form numbers: str.isdigit() also admits
+# other scripts' digits and superscripts, which int() either reads or
+# rejects untidily.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<tensor>\(\s*x\s*\))|(?P<wedge>\^\^)|(?P<power>\^)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<op>[-+*])"
+    r"|(?P<number>[0-9]+(?:/[0-9]*)?)|(?P<symbol>[^\W_]+))?"
+)
+
+
 def tokenize(text: str) -> list:
     """Token stream of (kind, value, position) triples."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j < n and text[j] == "x":
-                k = j + 1
-                while k < n and text[k].isspace():
-                    k += 1
-                if k < n and text[k] == ")":
-                    out.append(("tensor", "(x)", i))
-                    i = k + 1
-                    continue
-            out.append(("lparen", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            out.append(("rparen", ")", i))
-            i += 1
-            continue
-        if ch == "^":
-            if i + 1 < n and text[i + 1] == "^":
-                out.append(("wedge", "^^", i))
-                i += 2
-            else:
-                out.append(("power", "^", i))
-                i += 1
-            continue
-        if ch in "+-*":
-            out.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            num = _literal(text, i, j)
-            den = 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or text[k] not in _DIGITS:
-                    raise ExprError("expected digits after '/'", j)
-                j = k
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                den = _literal(text, k, j)
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind is None:
+            if pos == len(text):
+                out.append(("end", "", pos))
+                return out
+            raise ExprError("unexpected character %r" % text[pos], pos)
+        start, value = m.start(kind), m[kind]
+        if kind == "tensor":
+            value = "(x)"
+        elif kind == "number":
+            slash = text.find("/", start, pos)
+            num, den = _literal(text, start, pos if slash < 0 else slash), 1
+            if slash >= 0:
+                if slash + 1 == pos:
+                    raise ExprError("expected digits after '/'", slash)
+                den = _literal(text, slash + 1, pos)
                 if not den:
-                    raise ExprError("zero denominator", k)
-            out.append(("number", Fraction(num, den), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum()):
-                j += 1
-            out.append(("symbol", text[i:j], i))
-            i = j
-            continue
-        raise ExprError("unexpected character %r" % ch, i)
-    out.append(("end", "", n))
-    return out
+                    raise ExprError("zero denominator", slash + 1)
+            value = Fraction(num, den)
+        elif kind == "symbol" and not value[0].isalpha():
+            raise ExprError("unexpected character %r" % value[0], start)
+        out.append((kind, value, start))
 
 
 def _symbols(gen, indices) -> dict:

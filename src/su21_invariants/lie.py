@@ -164,10 +164,8 @@ def _build_tables():
 
 BRACKET_TABLE, FORM_TABLE = _build_tables()
 
-# H = H1 - H2 is the coroot of the semisimple part of k; a = H1 + H2 spans
-# the center of k.
+# H = H1 - H2 is the coroot of the semisimple part of k.
 H_VEC = GVector({H1: 1, H2: -1})
-A_VEC = GVector({H1: 1, H2: 1})
 
 
 def bracket(x: GVector, y: GVector) -> GVector:

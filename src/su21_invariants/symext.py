@@ -164,10 +164,6 @@ def one() -> SymTensorElement:
     return scalar(1)
 
 
-def zero() -> SymTensorElement:
-    return SymTensorElement()
-
-
 # SYM_KEYS[i] is the key of the letter i of g in the left leg, and
 # EXT_KEYS[i] that of the letter i of p in the right leg; U(g) (x) C(p)
 # keys its letters the same way.

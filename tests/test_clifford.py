@@ -1,11 +1,12 @@
 """Clifford products, the Chevalley map and the k -> C(p) action map."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from su21_invariants import lie, symext
-from su21_invariants.clifford import chevalley_items
+from su21_invariants.clifford import chevalley_items, clifford_product_items
 from su21_invariants.dirac import (
     UCElement,
     alpha,
@@ -16,6 +17,7 @@ from su21_invariants.dirac import (
     uc_scalar,
 )
 from su21_invariants.lie import gvec
+from su21_invariants.linalg import add_terms, exact
 
 ALL_MASKS = list(range(16))
 
@@ -141,7 +143,7 @@ def test_alpha_of_center():
     # in; blade bits are E1, E2, F1, F2 from the low bit up (0b0101 = E1 F1).
     half = Fraction(-1, 2)
     values = (
-        (lie.A_VEC, half * (_blade(0b0101) + _blade(0b1010) + 2 * uc_one())),
+        (lie.GVector({lie.H1: 1, lie.H2: 1}), half * (_blade(0b0101) + _blade(0b1010) + 2 * uc_one())),
         (gvec(lie.H1), half * (_blade(0b0101) + uc_one())),
         (gvec(lie.H2), half * (_blade(0b1010) + uc_one())),
         (gvec(lie.E), half * _blade(0b1001)),
@@ -169,3 +171,76 @@ def test_clifford_letters_reject_k_input():
         c_gen(lie.E)
     with pytest.raises(ValueError):
         c_vec(gvec(lie.H1))
+
+
+# The left insertion that straightening from the right replaced, kept
+# verbatim as the reference: v_g is inserted before the blade's first
+# letter, and the letters of the left factor enter from the last.
+_BP = tuple(
+    tuple(lie.FORM_TABLE[lie.E1 + i][lie.E1 + j] for j in range(4))
+    for i in range(4)
+)
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+@lru_cache(maxsize=None)
+def _cliff_insert(g: int, mask: int) -> tuple:
+    """v_g times the blade of ``mask``, as ((mask, coefficient), ...)."""
+    if mask == 0:
+        return ((1 << g, 1),)
+    h = _lowest_bit(mask)
+    if g < h:
+        return ((mask | (1 << g), 1),)
+    rest = mask ^ (1 << h)
+    if g == h:
+        b = _BP[g][g]
+        return ((rest, -b),) if b else ()
+    # v_g v_h rest = -v_h (v_g rest) - 2 B(g,h) rest
+    acc = {}
+    for m1, c1 in _cliff_insert(g, rest):
+        add_terms(acc, _cliff_insert(h, m1), -c1)
+    add_terms(acc, ((rest, _BP[g][h]),), -2)
+    return tuple(acc.items())
+
+
+def _word_product(word, items: dict) -> dict:
+    """v_word[0] ... v_word[-1] times the element {mask: coefficient}."""
+    for g in reversed(word):
+        acc = {}
+        for mask, c in items.items():
+            add_terms(acc, _cliff_insert(g, mask), c)
+        items = acc
+    return items
+
+
+def _ref_product_items(m1: int, m2: int) -> tuple:
+    bits = [k for k in range(4) if m1 >> k & 1]
+    return tuple(_word_product(bits, {m2: 1}).items())
+
+
+@lru_cache(maxsize=None)
+def _ref_chevalley_items(mask: int) -> tuple:
+    if mask == 0:
+        return ((0, 1),)
+    bits = [k for k in range(4) if mask >> k & 1]
+    acc = {}
+    for pos, k in enumerate(bits):
+        sign = -1 if pos & 1 else 1
+        for m, c in _ref_chevalley_items(mask ^ (1 << k)):
+            add_terms(acc, _cliff_insert(k, m), sign * c)
+    return tuple((m, exact(Fraction(c, len(bits)))) for m, c in acc.items())
+
+
+def _typed(items):
+    return sorted((m, c, type(c)) for m, c in items)
+
+
+def test_right_straightening_matches_left_insertion():
+    for a in ALL_MASKS:
+        assert _typed(chevalley_items(a)) == _typed(_ref_chevalley_items(a)), a
+        for b in ALL_MASKS:
+            got = _typed(clifford_product_items(a, b))
+            assert got == _typed(_ref_product_items(a, b)), (a, b)

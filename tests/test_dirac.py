@@ -174,11 +174,12 @@ def test_dk_identity_passes():
 
 
 def test_dk_is_pair_scaling_independent():
+    a = lie.GVector({lie.H1: 1, lie.H2: 1})
     pairs = (
         (2 * gvec(lie.E), Fraction(1, 2) * gvec(lie.F)),
         (gvec(lie.F), gvec(lie.E)),
         (lie.H_VEC, Fraction(1, 2) * lie.H_VEC),
-        (Fraction(1, 3) * lie.A_VEC, Fraction(9, 2) * lie.A_VEC),
+        (Fraction(1, 3) * a, Fraction(9, 2) * a),
     )
     assert _dual_pair_sum(pairs, dirac.u_vec, dirac.alpha) == dk_element()
 

@@ -8,10 +8,12 @@ import pytest
 from su21_invariants import dirac, lie, symext
 from su21_invariants.expr import (
     ExprError,
+    _literal,
     format_c,
     format_element,
     format_tensor,
     parse_element,
+    tokenize,
 )
 
 
@@ -30,7 +32,9 @@ def test_parse_isotropic_square_in_clifford_context():
 
 
 def test_parse_shorthand_symbols():
-    assert parse_element("a", "symmetric") == symext.from_gvector(lie.A_VEC)
+    assert parse_element("a", "symmetric") == symext.from_gvector(
+        lie.GVector({lie.H1: 1, lie.H2: 1})
+    )
     assert parse_element("H", "symmetric") == symext.from_gvector(lie.H_VEC)
     assert parse_element("H", "enveloping") == dirac.u_vec(lie.H_VEC)
     assert parse_element("1/2*H - H1", "symmetric") == symext.SymTensorElement(
@@ -196,3 +200,112 @@ def test_format_element_dispatch():
     assert format_element(dirac.uc_one(), "clifford") == "1"
     with pytest.raises(ValueError):
         format_element(symext.one(), "weyl")
+
+
+# The character-by-character scanner that the regular expression of
+# ``tokenize`` replaced, kept verbatim as the reference.
+_DIGITS = "0123456789"
+
+
+def _ref_tokenize(text: str) -> list:
+    """Token stream of (kind, value, position) triples."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "(":
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j < n and text[j] == "x":
+                k = j + 1
+                while k < n and text[k].isspace():
+                    k += 1
+                if k < n and text[k] == ")":
+                    out.append(("tensor", "(x)", i))
+                    i = k + 1
+                    continue
+            out.append(("lparen", "(", i))
+            i += 1
+            continue
+        if ch == ")":
+            out.append(("rparen", ")", i))
+            i += 1
+            continue
+        if ch == "^":
+            if i + 1 < n and text[i + 1] == "^":
+                out.append(("wedge", "^^", i))
+                i += 2
+            else:
+                out.append(("power", "^", i))
+                i += 1
+            continue
+        if ch in "+-*":
+            out.append(("op", ch, i))
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            num = _literal(text, i, j)
+            den = 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                if k >= n or text[k] not in _DIGITS:
+                    raise ExprError("expected digits after '/'", j)
+                j = k
+                while j < n and text[j] in _DIGITS:
+                    j += 1
+                den = _literal(text, k, j)
+                if not den:
+                    raise ExprError("zero denominator", k)
+            out.append(("number", Fraction(num, den), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum()):
+                j += 1
+            out.append(("symbol", text[i:j], i))
+            i = j
+            continue
+        raise ExprError("unexpected character %r" % ch, i)
+    out.append(("end", "", n))
+    return out
+
+
+def _scan(scanner, text):
+    """The tokens of text, or the message and position of its ExprError."""
+    try:
+        return scanner(text)
+    except ExprError as err:
+        return str(err), err.position
+
+
+# The grammar's characters, characters that are letters, digits or spaces
+# to str but not to the grammar, and the edge literals: a number one digit
+# past the cap, a slash with no digits on one side, a spaced '(x)', an
+# underscore, digits running into a symbol, a spaced slash, a zero
+# denominator.
+_PIECES = (
+    tuple("()x^+-*/0123456789 \t\nEFHa12")
+    + ("E1", "F2", "H1", "^^", "(x)", "1/2")
+    + tuple("²١Ｅé∧½ⅷ\u00a0\u3000\x1c")
+    + ("9" * 4301, "1/", "/2", "( x )", "E_1", "3E1", "1 /2", "1/0")
+)
+
+
+def test_tokenize_matches_the_character_scanner():
+    rng = random.Random(30)
+    mismatches = []
+    for _ in range(20000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12)))
+        want = _scan(_ref_tokenize, text)
+        if _scan(tokenize, text) != want:
+            mismatches.append((text, want))
+    assert not mismatches, mismatches[:3]

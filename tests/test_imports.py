@@ -1,6 +1,7 @@
 """The import structure of the package: every import of a package module
 sits at module level, and those imports form no cycle; no module reads a
-private name of another; importing the command line loads none of the
+private name of another; the package reads every public name of its own,
+but for a listed few; importing the command line loads none of the
 standard library's heavy introspection modules; and every memo of the
 package is read again by the default run."""
 
@@ -90,6 +91,65 @@ def test_no_module_reads_a_private_name_of_another():
             ):
                 found.append("%s reads %s.%s" % (name, modules[node.value.id], node.attr))
     assert not found, sorted(set(found))
+
+
+# Public names that only the tests read, each with the reason it stays.
+_READ_ONLY_BY_TESTS = {
+    # ROADMAP item 2 gives it its caller in a suite: the invariance check of
+    # the lifted generators.
+    "dirac.diagonal_action",
+    # The tests' reference canonical form, and a benchmark span until
+    # ROADMAP item 6 retires both.
+    "linalg.rref_rows",
+}
+
+
+def _defined_names(tree) -> set:
+    """The public names a module binds at module level, its imports aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_name_is_read_in_the_package():
+    """A public module-level name that no module of the package reads is
+    library code for the tests alone.  A read is a load of the name in its
+    own module, ``from .x import name``, or ``y.name`` on a module imported
+    by ``from . import x [as y]``."""
+    trees = _trees()
+    read = set()
+    for name, tree in trees.items():
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        read.add("%s.%s" % (node.module, alias.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add("%s.%s" % (name, node.id))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                read.add("%s.%s" % (modules[node.value.id], node.attr))
+    unread = {
+        "%s.%s" % (name, defined)
+        for name, tree in trees.items()
+        for defined in _defined_names(tree)
+    } - read
+    assert unread == _READ_ONLY_BY_TESTS, sorted(unread)
 
 
 # Modules the package does not need, each of which would add to the start-up

@@ -237,7 +237,7 @@ def test_a_free_action_in_the_sl2_basis_matches_ad_action(n):
     e = gvec(lie.E)
     for key, terms in zip(keys, inv._a_free_e_images(keys)):
         assert len({t for t, _ in terms}) == len(terms)
-        got = symext.zero()
+        got = symext.SymTensorElement()
         for t, u in terms:
             assert u
             got = got + u * _from_sl2_basis(t)
@@ -425,7 +425,7 @@ def test_highest_weight_check_reads_every_term():
             assert not ok, (v, weight)
     assert inv._highest_weight_string(e**2, (2, -2))[0]
     assert inv._highest_weight_string(e1**2, (2, 0))[0]
-    assert not inv._highest_weight_string(symext.zero(), (0, 0))[0]
+    assert not inv._highest_weight_string(symext.SymTensorElement(), (0, 0))[0]
 
 
 def test_ext_decomposition_highest_weight_example():
