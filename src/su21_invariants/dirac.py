@@ -1,11 +1,11 @@
 """U(sl3) (x) C(p), the one non-commutative algebra of the package.
 
-An element pairs a PBW monomial with a Clifford blade; the two tensor legs
-commute with each other, so multiplication is componentwise: the PBW
-rewriting of ``enveloping`` on the left leg, the Clifford rewriting of
-``clifford`` on the right.  U(sl3) and C(p) are the commuting subalgebras
-U(sl3) (x) 1 and 1 (x) C(p): an element of either is a ``UCElement``
-whose keys all carry the unit blade or the unit monomial, and their
+An element pairs a PBW monomial with a Clifford blade, a key of
+``symext.TensorElement``; ``UCElement`` defines only its product, which
+is componentwise, as the legs commute: the PBW rewriting of ``enveloping``
+on the left leg, the Clifford rewriting of ``clifford`` on the right.
+U(sl3) and C(p) are the subalgebras U(sl3) (x) 1 and 1 (x) C(p), the
+elements whose keys all carry the unit blade or the unit monomial; their
 letters are ``u_gen`` and ``c_gen`` (``u_vec`` and ``c_vec`` for vectors).
 
 On these letters the module builds the action map of k on p in closed
@@ -52,17 +52,15 @@ from . import enveloping as env
 from . import lie
 from . import symext
 from .lie import GVector
-from .linalg import SparseElement, add_terms
+from .linalg import add_terms
 from .report import CheckResult, VerificationReport
 
 
-class UCElement(SparseElement):
+class UCElement(symext.TensorElement):
     """Element of U(sl3) (x) C(p): {(PBW exponents, blade mask): coefficient}."""
 
     __slots__ = ()
-    UNIT = (lie.ZERO_EXPS, 0)
-    KEYS = {}
-    key_degree = staticmethod(symext.SymTensorElement.key_degree)
+    SEP = "*"
 
     def _product(self, other) -> dict:
         """Componentwise product of keys, summed in place; the zeros that
@@ -81,37 +79,13 @@ class UCElement(SparseElement):
                         out[key] = get(key, 0) + qc * uc
         return out
 
-    def __repr__(self):
-        return "UCElement(%s)" % symext.format_tensor(self, "*")
-
 
 uc_scalar = UCElement.scalar
-
-
-def uc_one() -> UCElement:
-    return uc_scalar(1)
-
-
-def u_vec(v: GVector) -> UCElement:
-    """v in g as the element v (x) 1."""
-    return UCElement({symext.SYM_KEYS[i]: c for i, c in v.coeffs.items()})
-
-
-def c_vec(v: GVector) -> UCElement:
-    """v in p as the element 1 (x) v."""
-    if not v.coeffs.keys() <= symext.EXT_KEYS.keys():
-        raise ValueError("vector is not in p")
-    return UCElement({symext.EXT_KEYS[i]: c for i, c in v.coeffs.items()})
-
-
-def u_gen(i: int) -> UCElement:
-    """The basis letter i of g in the U-leg."""
-    return u_vec(lie.gvec(i))
-
-
-def c_gen(i: int) -> UCElement:
-    """The basis letter i of p in the C-leg; ValueError off p."""
-    return c_vec(lie.gvec(i))
+uc_one = UCElement.one
+u_vec = UCElement.vector
+c_vec = UCElement.p_vector
+u_gen = UCElement.letter
+c_gen = UCElement.p_letter
 
 
 def _dual_sum(indices, left, right) -> UCElement:
@@ -234,14 +208,14 @@ def rho_k_norm_sq() -> Fraction:
 def lifted_generators() -> symext.InvariantGenerators:
     """Lifts of the ten commutative invariants to U(sl3) (x) C(p): the same
     formulas, with the g-letters in U(sl3) and the p-letters in C(p)."""
-    return symext.InvariantGenerators.from_letters(u_gen, c_gen)
+    return symext.InvariantGenerators.from_letters(UCElement)
 
 
 def _residual_check(check_id, anchor, lhs, rhs) -> CheckResult:
     diff = lhs - rhs
     if diff.is_zero():
         return CheckResult(check_id, anchor, True)
-    return CheckResult(check_id, anchor, False, symext.format_tensor(diff, "*"))
+    return CheckResult(check_id, anchor, False, symext.format_tensor(diff))
 
 
 def verify_sigma_tau_table() -> VerificationReport:
@@ -438,7 +412,7 @@ def verify_casimir_expressions() -> VerificationReport:
             if not com.is_zero():
                 bad.append(
                     "[%s, %s] = %s"
-                    % (name, lie.BASIS_NAMES[gi], symext.format_tensor(com, "*"))
+                    % (name, lie.BASIS_NAMES[gi], symext.format_tensor(com))
                 )
         checks.append(
             CheckResult(

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 from . import dirac, lie, symext
@@ -234,9 +233,7 @@ _P = lie.P_INDICES
 # the exterior letters right of '(x)' or None, the scalar and the printer.
 _CONTEXTS = {
     "symmetric": ((symext.sym_gen, _G), None, symext.scalar, format_tensor),
-    "enveloping": (
-        (dirac.u_gen, _G), None, dirac.uc_scalar, partial(format_tensor, sep="*")
-    ),
+    "enveloping": ((dirac.u_gen, _G), None, dirac.uc_scalar, format_tensor),
     "clifford": ((dirac.c_gen, _P), None, dirac.uc_scalar, format_c),
     "tensor": (
         (symext.sym_gen, _G), (symext.ext_gen, _P), symext.scalar, format_tensor

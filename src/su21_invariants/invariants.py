@@ -573,7 +573,7 @@ def lifted_product_members(max_degree: int) -> tuple:
 def _top_degree_first(row):
     """The lead of a ``uc-basis`` row: its key of highest filtration
     degree, the smallest such key on a tie."""
-    key_degree = dirac.UCElement.key_degree
+    key_degree = symext.key_degree
     return min(row, key=lambda k: (-key_degree(k), k))
 
 
@@ -663,7 +663,7 @@ def verify_ideal_slice(bound: int) -> VerificationReport:
         residual = "rank drops from %d to %d; witness: %s" % (
             full_rank,
             full_rank - len(pure_k),
-            symext.format_tensor(witness, "*"),
+            symext.format_tensor(witness),
         )
     checks.append(
         CheckResult(

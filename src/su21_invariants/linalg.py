@@ -37,13 +37,9 @@ Reduced echelon forms depend only on the column order, never on the order
 the rows arrive in, so every rank and kernel produced here is canonical
 for a fixed column order.
 
-``SparseElement`` is the same ``{key: value}`` representation seen as an
-element of an algebra.  It carries the linear structure (normalization,
-sums, negation, scalar multiples), powers and equality for every algebra
-of the package: g, S(g) (x) Lambda(p) and U(g) (x) C(p), which holds U(g)
-and C(p) as its two legs.  A subclass supplies only its unit key, the
-degree of one key, the product of two elements as a ``{key: value}``
-dict, and its printed form.
+``SparseElement`` is the same ``{key: value}`` representation seen as a
+vector: the core (normalization, sums, negation, scalar multiples,
+equality) that ``lie.GVector`` and ``symext.TensorElement`` build on.
 """
 
 from __future__ import annotations
@@ -199,21 +195,11 @@ def kernel_of_rows(rows, ncols: int) -> list:
 
 
 class SparseElement:
-    """Element of an algebra over its basis: {key: exact coefficient}.
-
-    Subclasses set ``UNIT``, the key of the unit element, and define
-    ``key_degree(key)``, ``_product(other) -> dict`` and ``__repr__``.
-
-    ``KEYS`` is the class's table of product keys, or None: a subclass that
-    sets it to a dict keeps one key object per distinct key that a product
-    makes (hash-consing), since every product builds its keys afresh and
-    the same few thousand keys recur across hundreds of thousands of terms.
-    Only products are interned; the table lives for the process, like the
-    product caches it sits beside.
-    """
+    """A vector over a basis of keys: {key: exact coefficient}.  It
+    combines only with an element of its own class, and with an ``int``,
+    ``Fraction`` or ``float`` scalar on either side; else a TypeError."""
 
     __slots__ = ("coeffs",)
-    KEYS = None
 
     def __init__(self, coeffs=None, keys=None):
         """Keep the nonzero coefficients, made exact; with a ``keys`` dict,
@@ -227,25 +213,19 @@ class SparseElement:
                 data[key if intern is None else intern(key, key)] = v
         self.coeffs = data
 
-    @classmethod
-    def scalar(cls, c):
-        return cls({cls.UNIT: c})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self):
-        """Top degree of a key, or None for the zero element."""
-        if not self.coeffs:
-            return None
-        return max(map(self.key_degree, self.coeffs))
-
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.coeffs)
         add_terms(out, other.coeffs.items())
         return type(self)(out)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.coeffs)
         add_terms(out, other.coeffs.items(), -1)
         return type(self)(out)
@@ -253,30 +233,15 @@ class SparseElement:
     def __neg__(self):
         return type(self)({k: -v for k, v in self.coeffs.items()})
 
-    def _scaled(self, scalar):
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction, float)):
+            return NotImplemented
         scalar = exact(scalar)
         if not scalar:
             return type(self)()
         return type(self)({k: scalar * v for k, v in self.coeffs.items()})
 
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return type(self)(self._product(other), self.KEYS)
-
-    def _product(self, other) -> dict:
-        raise TypeError("%s has no product" % type(self).__name__)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is not type(self):

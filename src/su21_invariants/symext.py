@@ -13,9 +13,12 @@ each symmetric letter and, per exterior mask, the signed new masks.  One
 per-key routine (``_key_terms``) turns the tables into the terms of
 ad(z) on one key; ``ad_action`` adds them up over an element, and
 ``ad_images`` hands them out per key, for callers that apply the action
-to many elements on the same keys.  U(g) (x) C(p) keys its
-elements the same way, so ``format_tensor`` and ``format_c`` here print
-both algebras: every failed check's residual and both ``repr``s.
+to many elements on the same keys.
+
+U(g) (x) C(p) (``dirac``) keys its elements the same way, so both share
+one body, ``TensorElement``, and define only their products: it holds the
+unit, key degree, one ``KEYS`` intern table, powers, the letters of g and
+p and ``format_tensor``, the printer behind every residual and ``repr``.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
 is integral, a ``Fraction`` otherwise, never a float.  Every weight,
@@ -24,16 +27,17 @@ so products and the k-action stay in integer arithmetic; a ``Fraction``
 enters only with a real division, such as an echelon-normalized kernel
 vector or a scalar like 1/2.
 
-The invariants a..j are written once, for both algebras, in two letter
-constructors (``InvariantGenerators.from_letters``): ``sym_gen`` and
-``ext_gen`` give them here, the letters of U(g) (x) C(p) give their lifts
-(``dirac.lifted_generators``).  The bundle also enumerates the product
-family a^n1 b^n2 c^n3 d^n4 * t over the sixteen module generators t.
+The invariants a..j are written once, for both algebras, in the letters
+of a ``TensorElement`` class (``InvariantGenerators.from_letters``):
+``SymTensorElement`` gives them here, ``dirac.UCElement`` their lifts.
+The bundle also enumerates the product family a^n1 b^n2 c^n3 d^n4 * t
+over the sixteen module generators t.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from operator import add
 from typing import NamedTuple
 
@@ -98,11 +102,17 @@ def _join_terms(terms) -> str:
     return "".join(out)
 
 
-def format_tensor(x, sep="^^") -> str:
-    """Print an element of S(g) (x) Lambda(p), or with sep="*" of
-    U(g) (x) C(p); sep joins the letters of the right tensor leg."""
+def key_degree(key) -> int:
+    """Total degree of a key: symmetric degree plus exterior degree."""
+    exps, mask = key
+    return sum(exps) + mask.bit_count()
+
+
+def format_tensor(x) -> str:
+    """Print an element of S(g) (x) Lambda(p) or of U(g) (x) C(p); the
+    ``SEP`` of its class joins the letters of the right tensor leg."""
     terms = []
-    key_degree = SymTensorElement.key_degree
+    sep = type(x).SEP
     for key in sorted(x.coeffs, key=lambda k: (key_degree(k), k), reverse=True):
         exps, mask = key
         q = x.coeffs[key]
@@ -123,21 +133,87 @@ def format_c(x) -> str:
     the unit monomial, written as a word in the C-leg alone."""
     terms = []
     for key in sorted(x.coeffs, key=lambda k: (k[1].bit_count(), k), reverse=True):
-        terms.append((x.coeffs[key], _mask_str(key[1], "*")))
+        terms.append((x.coeffs[key], _mask_str(key[1], type(x).SEP)))
     return _join_terms(terms)
 
 
-class SymTensorElement(SparseElement):
-    """Element of S(g) (x) Lambda(p); {(exponents, mask): coefficient}."""
+# SYM_KEYS[i] is the key of the letter i of g in the left leg, and
+# EXT_KEYS[i] that of the letter i of p in the right leg, in both algebras.
+SYM_KEYS = tuple(
+    (tuple(int(j == i) for j in range(lie.DIM)), 0) for i in range(lie.DIM)
+)
+EXT_KEYS = {i: (ZERO_EXPS, 1 << ext_bit(i)) for i in lie.P_INDICES}
+
+
+class TensorElement(SparseElement):
+    """Element of S(g) (x) Lambda(p) or U(g) (x) C(p): {(exponents, mask):
+    coefficient}.  A subclass sets ``SEP``, which joins its right-leg
+    letters in print, and defines ``_product(other) -> dict``.
+
+    ``KEYS`` keeps one key object per distinct product key, for both
+    algebras and for the process: every product builds its keys afresh,
+    and the same few thousand keys recur across hundreds of thousands of
+    terms.
+    """
 
     __slots__ = ()
     UNIT = (ZERO_EXPS, 0)
     KEYS = {}
+    key_degree = staticmethod(key_degree)
 
-    @staticmethod
-    def key_degree(key) -> int:
-        exps, mask = key
-        return sum(exps) + mask.bit_count()
+    @classmethod
+    def scalar(cls, c):
+        return cls({cls.UNIT: c})
+
+    @classmethod
+    def one(cls):
+        return cls.scalar(1)
+
+    @classmethod
+    def vector(cls, v: GVector):
+        """v in g placed in the left leg."""
+        return cls({SYM_KEYS[i]: c for i, c in v.coeffs.items()})
+
+    @classmethod
+    def letter(cls, i: int):
+        """The basis letter i of g in the left leg."""
+        return cls({SYM_KEYS[i]: 1})
+
+    @classmethod
+    def p_vector(cls, v: GVector):
+        """v in p placed in the right leg; ValueError off p."""
+        if not v.coeffs.keys() <= EXT_KEYS.keys():
+            raise ValueError("vector is not in p")
+        return cls({EXT_KEYS[i]: c for i, c in v.coeffs.items()})
+
+    @classmethod
+    def p_letter(cls, i: int):
+        """The basis letter i of p in the right leg; ValueError off p."""
+        return cls.p_vector(lie.gvec(i))
+
+    def degree(self):
+        """Top degree of a key, or None for the zero element."""
+        return max(map(key_degree, self.coeffs), default=None)
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return type(self)(self._product(other), TensorElement.KEYS)
+        return super().__mul__(other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        return prod([self] * n, start=self.one())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, format_tensor(self))
+
+
+class SymTensorElement(TensorElement):
+    """Element of S(g) (x) Lambda(p)."""
+
+    __slots__ = ()
+    SEP = "^^"
 
     def _product(self, other) -> dict:
         out = {}
@@ -153,40 +229,12 @@ class SymTensorElement(SparseElement):
                 out[key] = get(key, 0) + sign * ca * cb
         return out
 
-    def __repr__(self):
-        return "SymTensorElement(%s)" % format_tensor(self)
-
 
 scalar = SymTensorElement.scalar
-
-
-def one() -> SymTensorElement:
-    return scalar(1)
-
-
-# SYM_KEYS[i] is the key of the letter i of g in the left leg, and
-# EXT_KEYS[i] that of the letter i of p in the right leg; U(g) (x) C(p)
-# keys its letters the same way.
-SYM_KEYS = tuple(
-    (tuple(int(j == i) for j in range(lie.DIM)), 0) for i in range(lie.DIM)
-)
-EXT_KEYS = {i: (ZERO_EXPS, 1 << ext_bit(i)) for i in lie.P_INDICES}
-
-
-def sym_gen(i: int) -> SymTensorElement:
-    """Basis vector of g placed in the symmetric leg."""
-    return SymTensorElement({SYM_KEYS[i]: 1})
-
-
-def ext_gen(i: int) -> SymTensorElement:
-    """Basis vector of p placed in the exterior leg."""
-    if i not in EXT_KEYS:
-        raise ValueError("exterior generators come from p")
-    return SymTensorElement({EXT_KEYS[i]: 1})
-
-
-def from_gvector(v: GVector) -> SymTensorElement:
-    return SymTensorElement({SYM_KEYS[i]: c for i, c in v.coeffs.items()})
+one = SymTensorElement.one
+sym_gen = SymTensorElement.letter
+ext_gen = SymTensorElement.p_letter
+from_gvector = SymTensorElement.vector
 
 
 def key_weight(key) -> Weight:
@@ -352,26 +400,26 @@ class InvariantGenerators(NamedTuple):
     """The ten invariants generating the K-invariant subalgebra, in
     S(g) (x) Lambda(p) or, lifted, in U(g) (x) C(p)."""
 
-    a: SparseElement
-    b: SparseElement
-    c: SparseElement
-    d: SparseElement
-    e: SparseElement
-    f: SparseElement
-    g: SparseElement
-    h: SparseElement
-    i: SparseElement
-    j: SparseElement
+    a: TensorElement
+    b: TensorElement
+    c: TensorElement
+    d: TensorElement
+    e: TensorElement
+    f: TensorElement
+    g: TensorElement
+    h: TensorElement
+    i: TensorElement
+    j: TensorElement
 
     @classmethod
-    def from_letters(cls, sym, ext) -> "InvariantGenerators":
-        """a..j written in two letter constructors: sym(i), the letter of g
-        in the left leg (see ``polynomial_invariants``), and ext(i), the
-        letter of p in the right leg; products keep the order written."""
-        sh, se, sf, se1, se2, sf1, sf2 = _letters(sym)
-        we1, we2, wf1, wf2 = map(ext, (E1, E2, F1, F2))
+    def from_letters(cls, algebra) -> "InvariantGenerators":
+        """a..j in the letters of a ``TensorElement`` class: ``letter`` in
+        the left leg (see ``polynomial_invariants``) and ``p_letter`` in the
+        right one; products keep the order written."""
+        sh, se, sf, se1, se2, sf1, sf2 = _letters(algebra.letter)
+        we1, we2, wf1, wf2 = map(algebra.p_letter, (E1, E2, F1, F2))
         return cls(
-            *polynomial_invariants(sym),
+            *polynomial_invariants(algebra.letter),
             e=sf1 * we1 + sf2 * we2,
             f=se1 * wf1 + se2 * wf2,
             g=we1 * wf1 + we2 * wf2,
@@ -435,4 +483,4 @@ class InvariantGenerators(NamedTuple):
 
 @lru_cache(maxsize=None)
 def named_invariants() -> InvariantGenerators:
-    return InvariantGenerators.from_letters(sym_gen, ext_gen)
+    return InvariantGenerators.from_letters(SymTensorElement)

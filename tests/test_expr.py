@@ -152,7 +152,7 @@ def test_round_trip_enveloping():
             if coeff:
                 terms[(tuple(exps), 0)] = coeff
         x = dirac.UCElement(terms)
-        assert parse_element(format_tensor(x, "*"), "enveloping") == x
+        assert parse_element(format_tensor(x), "enveloping") == x
 
 
 def test_round_trip_clifford():
@@ -190,7 +190,7 @@ def test_print_parse_canonicalizes():
 
 
 def test_format_uc_mentions_both_legs():
-    text = format_tensor(dirac.lifted_generators().e, "*")
+    text = format_tensor(dirac.lifted_generators().e)
     assert "(x)" in text and "F1" in text and "E1" in text
 
 

@@ -525,7 +525,7 @@ def test_dependent_lifted_member_fails_every_step_from_its_degree(monkeypatch):
 
 
 def test_products_share_one_key_object_per_key():
-    # Products intern their keys (SparseElement.KEYS): across a whole
+    # Products intern their keys (TensorElement.KEYS): across a whole
     # family, equal keys are one object, whichever product made them.
     families = (
         [x for _, x, _ in inv.lifted_product_members(6)],

@@ -1,11 +1,13 @@
 """Products, the k-action and the ten invariants of S(g) (x) Lambda(p)."""
 
+import operator
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from su21_invariants import dirac
 from su21_invariants import invariants as inv
 from su21_invariants import lie, symext
 from su21_invariants.lie import gvec
@@ -343,3 +345,38 @@ def test_ad_action_rejects_p_in_a_later_term():
         ad_action(gvec(lie.E1), x)
     with pytest.raises(ValueError):
         ad_action(gvec(lie.E) + gvec(lie.E1), x)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids="+-*")
+def test_elements_of_two_algebras_do_not_combine(op):
+    elements = (gvec(lie.E), sym_gen(lie.E), dirac.u_gen(lie.E))
+    for x, y in permutations(elements, 2):
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
+def test_scalars_multiply_every_element_on_both_sides():
+    for x in (gvec(lie.E), sym_gen(lie.E), dirac.u_gen(lie.E)):
+        half = Fraction(1, 2) * x
+        assert x * Fraction(1, 2) == 0.5 * x == x * 0.5 == half
+        assert 2 * half == half * 2 == x
+
+
+def test_reprs_of_both_algebras():
+    assert repr(named_invariants().g) == "SymTensorElement(1 (x) E2^^F2 + 1 (x) E1^^F1)"
+    assert repr(dirac.lifted_generators().g) == "UCElement(1 (x) E2*F2 + 1 (x) E1*F1)"
+    assert repr(SymTensorElement()) == "SymTensorElement(0)"
+    assert repr(dirac.uc_one()) == "UCElement(1)"
+
+
+def test_both_algebras_key_each_letter_alike():
+    for i in range(lie.DIM):
+        assert sym_gen(i).coeffs == dirac.u_gen(i).coeffs
+        if i in lie.P_INDICES:
+            assert ext_gen(i).coeffs == dirac.c_gen(i).coeffs
+            continue
+        with pytest.raises(ValueError) as ext:
+            ext_gen(i)
+        with pytest.raises(ValueError) as c:
+            dirac.c_gen(i)
+        assert str(ext.value) == str(c.value)
