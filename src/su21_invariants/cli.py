@@ -76,7 +76,7 @@ def _cmd_verify(args) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 2
     rendered = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(rendered + "\n")

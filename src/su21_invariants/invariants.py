@@ -181,15 +181,15 @@ def _slice_action(n: int) -> tuple:
     """
     keys = graded_keys(n, lie.Weight(0, 0))
     tables = {}
-    for name, z in _K_GENERATORS[2:]:  # E and F
+    for g in (lie.E, lie.F):
         target_id = {}
         starts, targets, coeffs = array("i", [0]), array("i"), array("i")
-        for terms in symext.ad_images(z, keys):
+        for terms in symext.ad_images(g, keys):
             for t, v in terms:
                 targets.append(target_id.setdefault(t, len(target_id)))
                 coeffs.append(v)
             starts.append(len(targets))
-        tables[name] = (starts, targets, coeffs)
+        tables[lie.BASIS_NAMES[g]] = (starts, targets, coeffs)
     return keys, {key: c for c, key in enumerate(keys)}, tables
 
 
@@ -223,9 +223,6 @@ class InvarianceError(ArithmeticError):
     """A computed kernel element is not annihilated by all of k."""
 
 
-_E_VEC = lie.gvec(lie.E)
-
-
 def _a_free_e_images(keys):
     """ad(E) on a-free keys in the sl2 basis, one list of (key, coeff) per key.
 
@@ -235,7 +232,7 @@ def _a_free_e_images(keys):
     ad(E) F^f = f F^(f-1) H never make an a.  The moves of the p-letters
     keep the k-letters and come from ``symext.ad_images``.
     """
-    for key, terms in zip(keys, symext.ad_images(_E_VEC, keys)):
+    for key, terms in zip(keys, symext.ad_images(lie.E, keys)):
         exps, mask = key
         k_part = exps[:4]
         out = [t for t in terms if t[0][0][:4] == k_part]

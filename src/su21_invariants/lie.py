@@ -31,7 +31,6 @@ BASIS_NAMES = ("H1", "H2", "E", "F", "E1", "E2", "F1", "F2")
 K_INDICES = (H1, H2, E, F)
 P_INDICES = (E1, E2, F1, F2)
 K_SET = frozenset(K_INDICES)
-P_SET = frozenset(P_INDICES)
 DIM = len(BASIS_NAMES)
 ZERO_EXPS = (0,) * DIM
 

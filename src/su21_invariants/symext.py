@@ -7,18 +7,20 @@ normalized to increasing mask order; total degree is symmetric degree
 plus exterior degree.  The adjoint action of k extends the bracket as a
 derivation on both tensor legs: each letter x_i of a key is replaced by
 its bracket [z, x_i], the diagonal part included, which gives the key
-back.  It reads letter tables built once per acting element z, from
-``lie.BRACKET_TABLE``, and kept in a small bounded cache: the moves of
-each symmetric letter and, per exterior mask, the signed new masks.  One
-per-key routine (``_key_terms``) turns the tables into the terms of
-ad(z) on one key; ``ad_action`` adds them up over an element, and
-``ad_images`` hands them out per key, for callers that apply the action
-to many elements on the same keys.
+back.  It is defined for z in k only: K is connected, so K-invariance
+is k-invariance.  It reads one pair of letter tables per basis letter of
+k, built from ``lie.BRACKET_TABLE`` on first use: the moves of each
+symmetric letter and, per exterior mask, the signed new masks.  One
+per-key routine (``_key_terms``) turns them into the terms of ad(x_g) on
+one key; ``ad_action`` adds these up over an element and the letters of
+z, and ``ad_images`` hands them out per key, for callers that apply one
+letter to many elements on the same keys.
 
 U(g) (x) C(p) (``dirac``) keys its elements the same way, so both share
 one body, ``TensorElement``, and define only their products: it holds the
-unit, key degree, one ``KEYS`` intern table, powers, the letters of g and
-p and ``format_tensor``, the printer behind every residual and ``repr``.
+unit, one ``KEYS`` intern table, powers and the letters of g and p;
+``key_degree`` and ``format_tensor``, the printer behind every residual
+and ``repr``, read the keys of both.
 
 Coefficients are exact (``linalg.exact``): an ``int`` whenever the value
 is integral, a ``Fraction`` otherwise, never a float.  Every weight,
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 from . import lie
 from .lie import E, E1, E2, F, F1, F2, ZERO_EXPS, GVector, Weight
-from .linalg import SparseElement, add_terms
+from .linalg import SparseElement
 
 
 def ext_bit(index: int) -> int:
@@ -159,7 +161,6 @@ class TensorElement(SparseElement):
     __slots__ = ()
     UNIT = (ZERO_EXPS, 0)
     KEYS = {}
-    key_degree = staticmethod(key_degree)
 
     @classmethod
     def scalar(cls, c):
@@ -251,36 +252,29 @@ def key_weight(key) -> Weight:
     return Weight(a, b)
 
 
-@lru_cache(maxsize=64)
-def _letter_tables(z_items: tuple) -> tuple:
-    """The letter tables of ad(z), for z given by its sorted (index, coeff) items.
+@lru_cache(maxsize=None)
+def _letter_tables(g: int) -> tuple:
+    """The letter tables of ad(x_g), for the basis letter g of k.
 
-    Returns (sym_moves, mask_moves, bad):
+    Returns (sym_moves, mask_moves):
 
     * sym_moves, the pairs (i, ((j, u), ...)) of the letters i whose
-      bracket [z, x_i] = sum_j u x_j is not zero; its diagonal part is the
-      move onto the same letter, j = i;
+      bracket [x_g, x_i] = sum_j u x_j is not zero; its diagonal part is
+      the move onto the same letter, j = i;
     * mask_moves[mask], the pairs (new mask, signed u) that one exterior
       replacement makes, wedge sign included; the diagonal parts of the
-      letters in mask add up in the move onto mask itself;
-    * bad, the bits of the exterior letters whose bracket leaves p.
+      letters in mask add up in the move onto mask itself.
+
+    [k, p] lies in p, so every exterior letter moves within p.  Built on
+    first use, not at import, from ``lie.BRACKET_TABLE`` as it is then.
     """
-    images = []
-    for i in range(lie.DIM):
-        acc = {}
-        for zi, zc in z_items:
-            add_terms(acc, lie.BRACKET_TABLE[zi][i].coeffs.items(), zc)
-        images.append(acc)
+    images = [lie.BRACKET_TABLE[g][i].coeffs for i in range(lie.DIM)]
     sym_moves = tuple((i, tuple(img.items())) for i, img in enumerate(images) if img)
-    bad = 0
-    for k in range(4):
-        if not images[lie.E1 + k].keys() <= lie.P_SET:
-            bad |= 1 << k
     mask_moves = []
     for mask in range(16):
         moves = {}
         for k in range(4):
-            if not mask >> k & 1 or bad >> k & 1:
+            if not mask >> k & 1:
                 continue
             # The word is x_k ^ rest up to the sign of merging the two;
             # x_jb ^ rest is the new word up to its own sign, and jb = k
@@ -293,24 +287,22 @@ def _letter_tables(z_items: tuple) -> tuple:
                     new = rest | (1 << jb)
                     moves[new] = moves.get(new, 0) + sign * u
         mask_moves.append(tuple((m, u) for m, u in moves.items() if u))
-    return sym_moves, tuple(mask_moves), bad
+    return sym_moves, tuple(mask_moves)
 
 
 def _key_terms(tables: tuple, key) -> list:
-    """The (new key, coeff) terms of ad(z) on one key, from the letter
-    tables of z: each letter is replaced by its bracket, and zero terms
+    """The (new key, coeff) terms of ad(x_g) on one key, from the letter
+    tables of g: each letter is replaced by its bracket, and zero terms
     are left out.
 
     Terms share a key only through the diagonal parts of several letters,
-    that is, for a z with a Cartan part; ``ad_action`` adds them up.  For
-    the root vectors E and F, the only z that ``ad_images`` serves, no two
-    terms share a key, and the a-free rows of
-    ``invariants._next_kernel`` rely on this.
+    that is, for H1 and H2; ``ad_action`` adds them up.  For the root
+    vectors E and F, the letters that ``ad_images`` serves, no two terms
+    share a key, and the a-free rows of ``invariants._next_kernel`` rely
+    on this.
     """
-    sym_moves, mask_moves, bad = tables
+    sym_moves, mask_moves = tables
     exps, mask = key
-    if mask & bad:
-        raise ValueError("adjoint action on the exterior leg requires a k-element")
     terms = []
     for i, moves in sym_moves:
         e = exps[i]
@@ -327,43 +319,42 @@ def _key_terms(tables: tuple, key) -> list:
     return terms
 
 
-def _tables_of(z: GVector) -> tuple:
-    return _letter_tables(tuple(sorted(z.coeffs.items())))
+def _check_k(letters) -> None:
+    if not letters <= lie.K_SET:
+        raise ValueError("the k-action is defined on k only")
 
 
-def ad_images(z: GVector, keys):
-    """The terms of ad(z) on each key, one list of (new key, coeff) per key,
-    yielded in the order given, with the letter tables of z read once;
-    ad(z) of an element is the linear combination of its keys' terms.
+def ad_images(g: int, keys):
+    """The terms of ad(x_g) on each key, for the basis letter g of k, one
+    list of (new key, coeff) per key, yielded in the order given; ad(x_g)
+    of an element is the linear combination of its keys' terms.
 
-    For a root vector z, such as E and F, no two terms of one key share a
-    key (see ``_key_terms``).
-
-    A z whose bracket pushes an exterior letter out of p raises ValueError
-    at a key with that letter, as ``ad_action`` does.
+    For the root vectors E and F no two terms of one key share a key (see
+    ``_key_terms``).  A letter g outside k raises ValueError, as
+    ``ad_action`` does, before any table is built.
     """
-    tables = _tables_of(z)
+    _check_k({g})
+    tables = _letter_tables(g)
     return (_key_terms(tables, key) for key in keys)
 
 
 def ad_action(z: GVector, x: SymTensorElement) -> SymTensorElement:
-    """Derivation extension of the bracket to both tensor legs.
+    """Derivation extension of the bracket to both tensor legs, for z in k.
 
-    The letter tables of ad(z) (``_letter_tables``) are built once per z
-    and kept in a small cache; each key's terms come from ``_key_terms``,
-    the routine behind ``ad_images`` too, and are added up here, so the
-    diagonal parts of several letters, such as those of ad(H1) and
-    ad(H2), meet in one coefficient.
-
-    On the exterior leg only the k-part of the action makes sense; a z
-    whose bracket pushes an exterior letter out of p raises ValueError.
+    The terms of each key under each basis letter of z (``_key_terms``,
+    the routine behind ``ad_images`` too) are added up here, so diagonal
+    terms, such as those of ad(H1), meet in one coefficient.  A z outside
+    k raises ValueError before any table is built.
     """
-    tables = _tables_of(z)
+    _check_k(z.coeffs.keys())
+    letters = [(_letter_tables(g), c) for g, c in z.coeffs.items()]
     out = {}
     get = out.get
     for key, q in x.coeffs.items():
-        for nkey, u in _key_terms(tables, key):
-            out[nkey] = get(nkey, 0) + q * u
+        for tables, c in letters:
+            qc = q * c
+            for nkey, u in _key_terms(tables, key):
+                out[nkey] = get(nkey, 0) + qc * u
     return SymTensorElement(out)
 
 

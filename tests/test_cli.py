@@ -75,7 +75,9 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
-    for target in (tmp_path / "no" / "such" / "report.txt", tmp_path):
+    # The empty path names no file, so it is refused too, not taken as no
+    # --out at all.
+    for target in (tmp_path / "no" / "such" / "report.txt", tmp_path, ""):
         code = cli.main(["verify", "lie", "--out", str(target)])
         assert code == 2
         captured = capsys.readouterr()

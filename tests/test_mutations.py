@@ -4,6 +4,11 @@ process), runs ``verify all`` at its defaults, and requires the report to
 fail on every check the row names.  An unpatched control run passes.
 The runs go two at a time, which halves the test's wall time on two cores.
 
+The k-action reads one pair of letter tables per basis letter of k,
+built from ``lie.BRACKET_TABLE`` on first use, so a patch of the bracket
+table reaches it; the two k-action rows wrap ``symext._letter_tables``
+and flip the sign of the moves of one tensor leg.
+
 Two faults are known to survive every report check and have no row: the
 Cartan part of the k-action dropped on the exterior leg, or on the
 symmetric leg.  No report check applies ad(H1) or ad(H2) where they act by
@@ -34,10 +39,17 @@ def patch(owner, name, make):
     setattr(owner, name, make(getattr(owner, name)))
 
 def negated_mask_moves(tables):
-    def wrapped(z_items):
-        sym_moves, mask_moves, bad = tables(z_items)
+    def wrapped(g):
+        sym_moves, mask_moves = tables(g)
         flipped = tuple(tuple((m, -u) for m, u in moves) for moves in mask_moves)
-        return sym_moves, flipped, bad
+        return sym_moves, flipped
+    return wrapped
+
+def negated_sym_moves(tables):
+    def wrapped(g):
+        sym_moves, mask_moves = tables(g)
+        flipped = tuple((i, tuple((j, -u) for j, u in moves)) for i, moves in sym_moves)
+        return flipped, mask_moves
     return wrapped
 
 exec(sys.argv[1])
@@ -96,6 +108,12 @@ MUTATIONS = [
         "exterior-k-action-sign-flipped",
         "patch(symext, '_letter_tables', negated_mask_moves)",
         tuple("st-basis:product-basis-degree-%d" % n for n in range(2, 9)),
+    ),
+    (
+        "symmetric-k-action-sign-flipped",
+        "patch(symext, '_letter_tables', negated_sym_moves)",
+        tuple("table:degree-%d" % n for n in range(3, 9))
+        + tuple("st-basis:product-basis-degree-%d" % n for n in range(2, 9)),
     ),
 ]
 

@@ -108,7 +108,7 @@ def _keys_up_to(d):
 def test_ad_action_is_a_derivation_on_every_pair_of_low_keys():
     keys = _keys_up_to(3)
     assert len(keys) == 403
-    degree = SymTensorElement.key_degree
+    degree = symext.key_degree
     monomial = {key: SymTensorElement({key: 1}) for key in keys}
     cases = 0
     for i in lie.K_INDICES:
@@ -127,10 +127,9 @@ def test_ad_action_is_a_derivation_on_every_pair_of_low_keys():
 def test_root_vector_terms_have_distinct_keys(i):
     """The slice tables and the a-free kernel rows take each term of a
     key's image as its own entry, so for E and F no two may share a key."""
-    z = gvec(i)
     for n in range(9):
         keys = inv.graded_keys(n, lie.Weight(0, 0))
-        for key, terms in zip(keys, symext.ad_images(z, keys)):
+        for key, terms in zip(keys, symext.ad_images(i, keys)):
             targets = [t for t, u in terms if u]
             assert len(set(targets)) == len(targets) == len(terms), key
 
@@ -149,13 +148,18 @@ def test_ad_action_is_a_representation():
 
 
 def test_ad_action_rejects_p_on_exterior_leg():
-    with pytest.raises(ValueError) as single:
-        ad_action(gvec(lie.E1), ext_gen(lie.F1))
-    # The per-key images raise the same error on the same key.
-    (key,) = ext_gen(lie.F1).coeffs
-    with pytest.raises(ValueError) as bulk:
-        list(symext.ad_images(gvec(lie.E1), [key]))
-    assert str(bulk.value) == str(single.value)
+    """Both entry points refuse every letter of p, on an exterior key and
+    on a key with no exterior letter, with one error and no table built."""
+    for x in (ext_gen(lie.F1), sym_gen(lie.E)):
+        (key,) = x.coeffs
+        for i in lie.P_INDICES:
+            built = symext._letter_tables.cache_info()
+            with pytest.raises(ValueError) as single:
+                ad_action(gvec(i), x)
+            with pytest.raises(ValueError) as bulk:
+                symext.ad_images(i, [key])
+            assert str(bulk.value) == str(single.value)
+            assert symext._letter_tables.cache_info() == built
 
 
 def test_keys_are_weight_vectors():
@@ -264,7 +268,7 @@ def _reference_ad(z, x):
         word = _word(mask)
         for pos, letter in enumerate(word):
             for j, u in _bracket_items(z, letter).items():
-                assert j in lie.P_SET
+                assert j in lie.P_INDICES
                 sign, new_mask = _sorted_wedge(word[:pos] + [j] + word[pos + 1:])
                 if sign:
                     key = (exps, new_mask)
@@ -318,13 +322,9 @@ def _assert_exact_dict(got, want):
 
 def test_ad_action_matches_letter_replacement():
     rng = random.Random(18)
-    basis = [gvec(i) for i in range(lie.DIM)]
     k_basis = [gvec(i) for i in lie.K_INDICES]
-    for mask, x in _draws():
+    for _, x in _draws():
         zs = k_basis + [_draw_z(rng, list(lie.K_INDICES)) for _ in range(3)]
-        if not mask:
-            # Only the symmetric leg is present, so all of g may act.
-            zs += basis + [_draw_z(rng, list(range(lie.DIM))) for _ in range(3)]
         for z in zs:
             _assert_exact_dict(ad_action(z, x).coeffs, _reference_ad(z, x))
 
@@ -338,13 +338,14 @@ def test_product_matches_wedge_sorting():
 
 def test_ad_action_rejects_p_in_a_later_term():
     # The first term has no exterior letter; only the second holds F1,
-    # and [E1, F1] lies in k.
+    # and [E1, F1] lies in k.  A z with a p part is refused whatever the
+    # element, the zero element and a k-letter plus a p-letter included.
     x = SymTensorElement({_key([(lie.E, 2)]): 1, _key([(lie.H1, 1)], 0b0100): 3})
     assert list(x.coeffs)[1][1] == 0b0100
-    with pytest.raises(ValueError):
-        ad_action(gvec(lie.E1), x)
-    with pytest.raises(ValueError):
-        ad_action(gvec(lie.E) + gvec(lie.E1), x)
+    for z in (gvec(lie.E1), gvec(lie.E) + gvec(lie.E1), gvec(lie.H1) - gvec(lie.F2)):
+        for y in (x, sym_gen(lie.E), SymTensorElement()):
+            with pytest.raises(ValueError):
+                ad_action(z, y)
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids="+-*")
